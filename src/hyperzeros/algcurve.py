@@ -25,6 +25,8 @@ from .exact import (
     ComplexRational,
     poly_add,
     poly_divexact,
+    poly_eval,
+    poly_from_roots,
     poly_is_zero,
     poly_mul,
     poly_pow,
@@ -33,14 +35,23 @@ from .exact import (
     poly_trim,
 )
 from .hyppoly import ParameterSchedule
-from .rootfinding import _FixedCoeffs, solve_all_roots, to_big_complex
+from .rootfinding import solve_all_roots, to_big_complex
 
 
-def _product_poly(values):
-    """prod (u + v) as a univariate coefficient list in u."""
-    out = [ONE]
-    for v in values:
-        out = poly_mul(out, [v, ONE])
+def w_coefficients(m_coeffs, n_coeffs, z):
+    """Coefficients in w of A(z, w) = M(zw) - w N(zw): m_k z^k - n_(k-1) z^(k-1).
+
+    Works in whatever arithmetic ``z`` and the coefficient lists carry:
+    exact, mpmath or Python complex.  Each entry starts from 0, as a
+    zero-initialised accumulator would, so a -0.0 component of a float
+    product comes out as +0.0.
+    """
+    out = []
+    for k, m in enumerate(m_coeffs):
+        c = 0 + m * z ** k
+        if k:
+            c = c - n_coeffs[k - 1] * z ** (k - 1)
+        out.append(c)
     return out
 
 
@@ -64,16 +75,7 @@ class BivariateCurve:
 
     def w_polynomial_coeffs(self, z):
         """Exact coefficients (in w) of A(z, .) for an exact z."""
-        A = self.degree_w
-        out = []
-        for k in range(A + 1):
-            c = ZERO
-            if k < len(self.m_coeffs):
-                c = c + self.m_coeffs[k] * (z ** k)
-            if 1 <= k and (k - 1) < len(self.n_coeffs):
-                c = c - self.n_coeffs[k - 1] * (z ** (k - 1))
-            out.append(c)
-        return out
+        return w_coefficients(self.m_coeffs, self.n_coeffs, z)
 
     def evaluate(self, z, w):
         """A(z, w) for exact arguments."""
@@ -85,13 +87,7 @@ class BivariateCurve:
     def evaluate_structured(self, z, w):
         """M(zw) - w N(zw), the structured route (used to cross-check terms)."""
         u = z * w
-        m = ZERO
-        for k, c in enumerate(self.m_coeffs):
-            m = m + c * (u ** k)
-        nn = ZERO
-        for k, c in enumerate(self.n_coeffs):
-            nn = nn + c * (u ** k)
-        return m - w * nn
+        return poly_eval(self.m_coeffs, u) - w * poly_eval(self.n_coeffs, u)
 
 
 def build_curve(schedule: ParameterSchedule) -> BivariateCurve:
@@ -103,8 +99,9 @@ def build_curve(schedule: ParameterSchedule) -> BivariateCurve:
     for i, al in enumerate(schedule.alphas, start=1):
         if not al:
             raise InvalidInputError(f"alpha_{i} = 0: degenerate pencil, no limit curve")
-    m = _product_poly(schedule.alphas)
-    n = _product_poly(schedule.betas)
+    # M(u) = prod (u + alpha_i) and N(u) = prod (u + beta_j)
+    m = poly_from_roots([-a for a in schedule.alphas])
+    n = poly_from_roots([-b for b in schedule.betas])
     terms = {}
     for k, c in enumerate(m):
         if c:
@@ -143,29 +140,26 @@ def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
     should avoid 1 and branch points (there the returned list contains
     coinciding values).
     """
-    with mp.workprec(precision_bits + 32):
+    wp = precision_bits + 32
+    with mp.workprec(wp):
         zz = mp.mpc(z)
         if abs(zz) < mp.mpf(2) ** (-precision_bits // 2):
             raise InvalidInputError(
                 "branches_at rejected z = 0: the leading w-coefficient z^B (z-1) "
                 "vanishes and the curve degenerates there"
             )
-        A = curve.degree_w
-        coeffs = []
-        for k in range(A + 1):
-            c = mp.mpc(0)
-            if k < len(curve.m_coeffs):
-                c += to_big_complex(curve.m_coeffs[k], precision_bits + 32) * zz ** k
-            if 1 <= k and (k - 1) < len(curve.n_coeffs):
-                c -= to_big_complex(curve.n_coeffs[k - 1], precision_bits + 32) * zz ** (k - 1)
-            coeffs.append(c)
+        coeffs = w_coefficients(
+            [to_big_complex(c, wp) for c in curve.m_coeffs],
+            [to_big_complex(c, wp) for c in curve.n_coeffs],
+            zz,
+        )
         if abs(coeffs[-1]) == 0:
             raise InvalidInputError(
                 f"leading w-coefficient of A({z}, .) vanishes (z in {{0, 1}}?)"
             )
-        if A == 1:
+        if curve.degree_w == 1:
             return [-coeffs[0] / coeffs[1]]
-        roots, _, _, _, _ = solve_all_roots(_FixedCoeffs(coeffs), A, precision_bits)
+        roots, _, _, _, _ = solve_all_roots(coeffs, precision_bits)
         return roots
 
 
@@ -268,9 +262,7 @@ def branch_points(curve: BivariateCurve, schedule: ParameterSchedule,
     if len(disc) == 1:
         return BranchPointSet((), False, (), (), ())
     roots, residuals, _, prec, _ = solve_all_roots(
-        _FixedCoeffs([to_big_complex(c, precision_bits + 64) for c in disc]),
-        len(disc) - 1,
-        precision_bits,
+        [to_big_complex(c, precision_bits + 64) for c in disc], precision_bits
     )
     guard = mp.mpf(2) ** (-precision_bits // 2)
     kept = []

@@ -123,10 +123,6 @@ class ComplexRational:
     def conjugate(self):
         return ComplexRational(self.re, -self.im)
 
-    def abs2(self):
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     @property
     def is_real(self):
         return self.im == 0

@@ -154,12 +154,6 @@ class HypPolynomial:
     def coefficient(self, k: int) -> ComplexRational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
-    def eval_exact(self, z: ComplexRational) -> ComplexRational:
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 

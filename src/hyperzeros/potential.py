@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algcurve import BivariateCurve, build_curve
+from .algcurve import BivariateCurve, build_curve, w_coefficients
 from .errors import (
     BranchCollisionError,
     InvalidInputError,
@@ -76,7 +76,7 @@ class HarmonicSystem:
         H_i(z) = -ax log|z| + ay Arg z + ax log|p| - ay Arg p.
         Accepts scalars or numpy arrays.
         """
-        self._require_closed("harmonic_value")
+        self._require_closed("closed-form harmonic values")
         z = np.asarray(z, dtype=complex)
         self._check_singular(z)
         p = self.basepoint
@@ -179,16 +179,6 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
     return HarmonicSystem(schedule, p, "integral", curve, (), ())
 
 
-def harmonic_value(sys: HarmonicSystem, i: int, z):
-    """H_i(z) from the closed forms; see HarmonicSystem.harmonic."""
-    return sys.harmonic(i, z)
-
-
-def shifted_harmonic_value(sys: HarmonicSystem, i: int, z):
-    """H~_i(z) = H_i(z) + C_i; see HarmonicSystem.shifted."""
-    return sys.shifted(i, z)
-
-
 # -- branch tracking along paths ---------------------------------------------
 
 
@@ -196,22 +186,23 @@ class _BranchTracker:
     """Follows one branch of A(z, w) = 0 along points by nearest continuation."""
 
     def __init__(self, curve: BivariateCurve, min_separation=1e-9):
-        self.curve = curve
-        self.m = np.array([complex(c) for c in curve.m_coeffs])
-        self.n = np.array([complex(c) for c in curve.n_coeffs])
+        self.m = [complex(c) for c in curve.m_coeffs]
+        self.n = [complex(c) for c in curve.n_coeffs]
         self.min_separation = min_separation
 
     def all_branches(self, z: complex) -> np.ndarray:
-        A = len(self.m) - 1
-        coeffs = np.zeros(A + 1, dtype=complex)
-        for k in range(A + 1):
-            if k <= A:
-                coeffs[k] += self.m[k] * z ** k
-            if k >= 1:
-                coeffs[k] -= self.n[k - 1] * z ** (k - 1)
+        coeffs = w_coefficients(self.m, self.n, z)
         if abs(coeffs[-1]) == 0 or abs(z) < SINGULAR_GUARD:
             raise InvalidInputError(f"branch values degenerate at z = {z}")
         return np.roots(coeffs[::-1])
+
+    def select(self, z: complex, indices) -> list:
+        """The branch values at z with the given 1-based indices, branches
+        ordered lexicographically by (re, im)."""
+        ws = sorted(self.all_branches(z), key=lambda v: (v.real, v.imag))
+        if not all(1 <= i <= len(ws) for i in indices):
+            raise InvalidInputError(f"branch indices {tuple(indices)} out of range 1..{len(ws)}")
+        return [ws[i - 1] for i in indices]
 
     def step(self, z: complex, w_prev: complex) -> tuple:
         """Continue the branch with value w_prev to the point z.
@@ -245,28 +236,24 @@ def _gauss_segment(tracker, a: complex, b: complex, w_start: complex, reanchor=N
     the tracked one (used near branch points, where nearest-value matching
     is ill-conditioned), or None to keep tracking.
     """
+
+    def advance(s, w):
+        override = reanchor(s) if reanchor is not None else None
+        if override is not None:
+            return override
+        w, ok = tracker.step(s, w)
+        if not ok:
+            raise _StepReject()
+        return w
+
     mid = (a + b) / 2
     half = (b - a) / 2
     total = 0j
     w = w_start
     for x, wt in zip(_GAUSS_X, _GAUSS_W):
-        s = mid + half * x
-        override = reanchor(s) if reanchor is not None else None
-        if override is not None:
-            w = override
-        else:
-            w, ok = tracker.step(s, w)
-            if not ok:
-                raise _StepReject()
+        w = advance(mid + half * x, w)
         total += wt * w
-    override = reanchor(b) if reanchor is not None else None
-    if override is not None:
-        w_end = override
-    else:
-        w_end, ok = tracker.step(b, w)
-        if not ok:
-            raise _StepReject()
-    return total * half, w_end
+    return total * half, advance(b, w)
 
 
 class _StepReject(Exception):
@@ -304,16 +291,12 @@ def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None,
             return None
 
     else:
-        ws = sorted(tracker.all_branches(sys.basepoint), key=lambda v: (v.real, v.imag))
-        if not 1 <= i <= len(ws):
-            raise InvalidInputError(f"branch index {i} out of range 1..{len(ws)}")
-        w = ws[i - 1]
+        (w,) = tracker.select(sys.basepoint, (i,))
         reanchor = None
     total = 0j
     for a, b in zip(pts[:-1], pts[1:]):
+        # consecutive waypoints differ, so every segment has positive length
         seg_len = abs(b - a)
-        if seg_len == 0:
-            continue
         t = 0.0
         dt = 1.0
         w_seg = w
@@ -411,17 +394,9 @@ class _IntegralLevelFunction:
     """
 
     def __init__(self, sys, pair, seed):
-        self.sys = sys
         self.tracker = _BranchTracker(sys.curve)
-        self.pair = pair
-        ws = sorted(self.tracker.all_branches(seed), key=lambda v: (v.real, v.imag))
-        A = len(ws)
-        i, j = pair
-        if not (1 <= i <= A and 1 <= j <= A):
-            raise InvalidInputError(f"branch indices {pair} out of range 1..{A}")
+        self.wi, self.wj = self.tracker.select(seed, pair)
         self.anchor = complex(seed)
-        self.wi = ws[i - 1]
-        self.wj = ws[j - 1]
         self.f_anchor = 0.0
         self._last = None
 
@@ -461,10 +436,14 @@ class _IntegralLevelFunction:
         self._last = (complex(z), f, wi, wj)
         return f
 
-    def gradient(self, z):
+    def _state(self, z):
+        """(z, F, w_i, w_j) at z, from the last query when it was at z."""
         if self._last is None or self._last[0] != complex(z):
             self.value(z)
-        _, _, wi, wj = self._last
+        return self._last
+
+    def gradient(self, z):
+        _, _, wi, wj = self._state(z)
         return complex(np.conjugate(wi - wj))
 
     def second(self, z):
@@ -474,14 +453,7 @@ class _IntegralLevelFunction:
         return (gp - gm) / (2 * h)
 
     def commit(self, z):
-        if self._last is None or self._last[0] != complex(z):
-            self.value(z)
-        self.anchor, self.f_anchor, self.wi, self.wj = (
-            self._last[0],
-            self._last[1],
-            self._last[2],
-            self._last[3],
-        )
+        self.anchor, self.f_anchor, self.wi, self.wj = self._state(z)
 
 
 def _saddle_directions(g2: complex):
@@ -763,6 +735,30 @@ class RegionGrid:
     xs: np.ndarray
     ys: np.ndarray
 
+    @staticmethod
+    def cell_centres(box, resolution: int):
+        """The x and y coordinates of the cell centres of the grid over ``box``."""
+        xmin, xmax, ymin, ymax = box
+        xs = xmin + (np.arange(resolution) + 0.5) * (xmax - xmin) / resolution
+        ys = ymin + (np.arange(resolution) + 0.5) * (ymax - ymin) / resolution
+        return xs, ys
+
+    @classmethod
+    def from_labels(cls, box, resolution: int, labels: np.ndarray) -> "RegionGrid":
+        """The grid over ``box`` with the given labels and the K mask they imply."""
+        xs, ys = cls.cell_centres(box, resolution)
+        kmask = np.zeros_like(labels, dtype=bool)
+        diff_v = labels[:-1, :] != labels[1:, :]
+        # vertical neighbor pairs straddling the cut {re < 0, im = 0} are barriers
+        straddle = (np.sign(ys[:-1]) != np.sign(ys[1:]))[:, None] & (xs < 0)
+        diff_v &= ~straddle
+        kmask[:-1, :] |= diff_v
+        kmask[1:, :] |= diff_v
+        diff_h = labels[:, :-1] != labels[:, 1:]
+        kmask[:, :-1] |= diff_h
+        kmask[:, 1:] |= diff_h
+        return cls(tuple(box), resolution, labels, kmask, xs, ys)
+
     @property
     def cell_width(self) -> float:
         return self.xs[1] - self.xs[0] if len(self.xs) > 1 else 0.0
@@ -807,21 +803,10 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
     res = int(resolution)
     if res < 2:
         raise InvalidInputError("resolution must be at least 2")
-    xs = xmin + (np.arange(res) + 0.5) * (xmax - xmin) / res
-    ys = ymin + (np.arange(res) + 0.5) * (ymax - ymin) / res
+    xs, ys = RegionGrid.cell_centres(box, res)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     stack = np.stack([sys.shifted(i, Z) for i in range(1, sys.num_branches + 1)])
     stack = np.where(np.isfinite(stack), stack, -np.inf)
     labels = np.argmax(stack, axis=0).astype(np.int16) + 1
-    kmask = np.zeros_like(labels, dtype=bool)
-    diff_v = labels[:-1, :] != labels[1:, :]
-    # vertical neighbor pairs straddling the cut {re < 0, im = 0} are barriers
-    straddle = (np.sign(Y[:-1, :]) != np.sign(Y[1:, :])) & (X[:-1, :] < 0)
-    diff_v &= ~straddle
-    kmask[:-1, :] |= diff_v
-    kmask[1:, :] |= diff_v
-    diff_h = labels[:, :-1] != labels[:, 1:]
-    kmask[:, :-1] |= diff_h
-    kmask[:, 1:] |= diff_h
-    return RegionGrid(tuple(box), res, labels, kmask, xs, ys)
+    return RegionGrid.from_labels(box, res, labels)

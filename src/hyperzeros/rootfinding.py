@@ -8,6 +8,11 @@ of magnitude, so the working precision carries the coefficient spread on
 top of the requested precision, and every root is certified a posteriori by
 a running-error Horner bound.  If certification fails the solve is retried
 at doubled precision, up to a hard cap.
+
+The solver has one entry, ``solve_all_roots``, which takes a plain
+coefficient list (exact ComplexRationals or already-rounded mpcs) and
+rounds it at each working precision; ``find_roots`` wraps it for exact
+polynomials.
 """
 
 from __future__ import annotations
@@ -50,35 +55,19 @@ def to_big_complex(x, prec: int) -> mp.mpc:
     return mp.mpc(x)
 
 
-class _ExactCoeffs:
-    """Coefficient provider that re-rounds exact coefficients at any precision."""
-
-    def __init__(self, coeffs):
-        self.coeffs = [c if isinstance(c, ComplexRational) else ComplexRational(c) for c in coeffs]
-
-    def at(self, prec):
-        return [to_big_complex(c, prec) for c in self.coeffs]
+def _residual_threshold(prec):
+    """Bound a certified root's relative backward residual must beat."""
+    return mp.mpf(2) ** (-prec // 4)
 
 
-class _FixedCoeffs:
-    """Provider over already-rounded mpc coefficients (accuracy capped by input)."""
-
-    def __init__(self, coeffs):
-        self.coeffs = [mp.mpc(c) for c in coeffs]
-
-    def at(self, prec):
-        return [mp.mpc(c) for c in self.coeffs]
+def _forward_threshold(prec):
+    """Bound a certified root's relative forward error must beat."""
+    return mp.mpf(2) ** (-prec // 2)
 
 
-class _ShiftedCoeffs:
-    """Provider view that drops the ``shift`` lowest coefficients."""
-
-    def __init__(self, provider, shift):
-        self.provider = provider
-        self.shift = shift
-
-    def at(self, prec):
-        return self.provider.at(prec)[self.shift:]
+def _cluster_radius(prec):
+    """Relative distance within which roots count as one cluster."""
+    return mp.mpf(2) ** (-prec // 8)
 
 
 def _coeff_spread_bits(coeffs) -> int:
@@ -146,6 +135,25 @@ def _companion_seeds(coeffs, degree):
     return [mp.mpc(z) for z in rts]
 
 
+def _horner(c, ca, cp, z):
+    """(p(z), sum |c_k| |z|^k, p'(z)) by Horner's rule.
+
+    ``ca`` holds the |c_k| and ``cp`` the coefficients of p'; the middle
+    value is the running-error sum that scales the evaluation noise.
+    """
+    deg = len(c) - 1
+    az = abs(z)
+    pv = c[deg]
+    pt = ca[deg]
+    for k in range(deg - 1, -1, -1):
+        pv = pv * z + c[k]
+        pt = pt * az + ca[k]
+    dv = cp[deg - 1]
+    for k in range(deg - 2, -1, -1):
+        dv = dv * z + cp[k]
+    return pv, pt, dv
+
+
 def _aberth_phase(c, z, noise_unit, cap):
     """Run Ehrlich-Aberth sweeps until every root's correction sinks below its
     evaluation-noise floor; returns (z, sweeps, active_left).
@@ -164,15 +172,7 @@ def _aberth_phase(c, z, noise_unit, cap):
         still = []
         for i in active:
             zi = z[i]
-            az = abs(zi)
-            pv = c[deg]
-            pt = ca[deg]
-            for k in range(deg - 1, -1, -1):
-                pv = pv * zi + c[k]
-                pt = pt * az + ca[k]
-            dv = cp[deg - 1]
-            for k in range(deg - 2, -1, -1):
-                dv = dv * zi + cp[k]
+            pv, pt, dv = _horner(c, ca, cp, zi)
             if dv == 0:
                 # nudge off the exact critical point of p'
                 z[i] = zi * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -20
@@ -206,12 +206,8 @@ def _certificates(c, z):
     residuals = []
     forwards = []
     for zi in z:
+        pv, pt, dv = _horner(c, ca, cp, zi)
         az = abs(zi)
-        pv = c[deg]
-        pt = ca[deg]
-        for k in range(deg - 1, -1, -1):
-            pv = pv * zi + c[k]
-            pt = pt * az + ca[k]
         scale = mp.mpf(0)
         zp = mp.mpf(1)
         for k in range(deg + 1):
@@ -219,9 +215,6 @@ def _certificates(c, z):
             if t > scale:
                 scale = t
             zp *= az
-        dv = cp[deg - 1]
-        for k in range(deg - 2, -1, -1):
-            dv = dv * zi + cp[k]
         noise = unit * pt
         num = abs(pv) + noise
         residuals.append(num / scale if scale > 0 else mp.mpf(0))
@@ -229,56 +222,25 @@ def _certificates(c, z):
     return residuals, forwards
 
 
-def solve_all_roots(provider, degree, precision_bits, max_precision_bits=MAX_PRECISION):
-    """Find all roots of the polynomial given by ``provider`` with certification.
+def _solve_nonzero(c, precision_bits, max_precision_bits):
+    """Aberth with precision doubling for a coefficient list with c[0] != 0.
 
-    Returns (roots, residuals, forwards, precision_used, trace).  Roots are
-    rounded to ``precision_used`` bits and sorted lexicographically by
-    (re, im).  Raises NonConvergenceError with the iteration trace when even
-    the precision cap fails to certify.
+    Returns the unsorted (roots, residuals, forwards, precision_used, trace).
     """
-    if degree < 1:
-        raise InvalidInputError("polynomial must have at least one root")
+    degree = len(c) - 1
     with mp.workprec(64):
-        c_probe = provider.at(64)
-    zeros_at_origin = 0
-    while zeros_at_origin < degree and c_probe[zeros_at_origin] == 0:
-        zeros_at_origin += 1
-    if zeros_at_origin:
-        # exact roots at 0; solve the reduced polynomial for the rest
-        shifted = _ShiftedCoeffs(provider, zeros_at_origin)
-        if zeros_at_origin == degree:
-            reduced = ([], [], [], precision_bits, [])
-        else:
-            reduced = solve_all_roots(
-                shifted, degree - zeros_at_origin, precision_bits, max_precision_bits
-            )
-        roots, residuals, forwards, prec, trace = reduced
-        with mp.workprec(prec):
-            zero = mp.mpc(0)
-            roots = [zero] * zeros_at_origin + list(roots)
-            residuals = [mp.mpf(0)] * zeros_at_origin + list(residuals)
-            forwards = [mp.mpf(0)] * zeros_at_origin + list(forwards)
-            order = sorted(range(degree), key=lambda i: (roots[i].real, roots[i].imag))
-            roots = [roots[i] for i in order]
-            residuals = [residuals[i] for i in order]
-            forwards = [forwards[i] for i in order]
-        return roots, residuals, forwards, prec, trace
+        spread = _coeff_spread_bits([to_big_complex(ck, 64) for ck in c])
+    wp1 = max(96, spread + 64)
     trace = []
     prec = precision_bits
     z = None
     tried_companion = False
     while True:
-        with mp.workprec(64):
-            spread = _coeff_spread_bits(provider.at(64))
-        wp1 = max(96, spread + 64)
         wp2 = prec + spread + 64
-        if z is None:
-            with mp.workprec(wp1):
-                c1 = provider.at(wp1)
-                z = _newton_polygon_seeds(c1, degree)
         with mp.workprec(wp1):
-            c1 = provider.at(wp1)
+            c1 = [to_big_complex(ck, wp1) for ck in c]
+            if z is None:
+                z = _newton_polygon_seeds(c1, degree)
             noise1 = mp.mpf(2 * degree) * mp.mpf(2) ** (-wp1)
             z = [mp.mpc(zi) for zi in z]
             z, sw1, left1 = _aberth_phase(c1, z, noise1, cap=60)
@@ -287,20 +249,21 @@ def solve_all_roots(provider, degree, precision_bits, max_precision_bits=MAX_PRE
             # seeding failed badly; fall back to companion eigenvalues
             tried_companion = True
             with mp.workprec(wp1):
-                seeds = _companion_seeds(provider.at(wp1), degree)
+                seeds = _companion_seeds(c1, degree)
             if seeds is not None:
                 z = seeds
                 trace.append({"phase": "companion-reseed", "working_bits": 53})
                 continue
         with mp.workprec(wp2):
-            c2 = provider.at(wp2)
+            c2 = [to_big_complex(ck, wp2) for ck in c]
             noise2 = mp.mpf(2 * degree) * mp.mpf(2) ** (-wp2)
             z = [mp.mpc(zi) for zi in z]
             z, sw2, left2 = _aberth_phase(c2, z, noise2, cap=120 + 2 * degree)
             residuals, forwards = _certificates(c2, z)
-            res_ok = all(r < mp.mpf(2) ** (-prec // 4) for r in residuals)
-            fwd_thr = mp.mpf(2) ** (-prec // 2)
-            cluster_rad = mp.mpf(2) ** (-prec // 8)
+            res_thr = _residual_threshold(prec)
+            res_ok = all(r < res_thr for r in residuals)
+            fwd_thr = _forward_threshold(prec)
+            cluster_rad = _cluster_radius(prec)
 
             def _fwd_passes(i):
                 # a Newton-style forward bound degrades like noise^(1/m) at an
@@ -317,7 +280,7 @@ def solve_all_roots(provider, degree, precision_bits, max_precision_bits=MAX_PRE
              "residuals_ok": res_ok, "forward_ok": fwd_ok}
         )
         if left2 == 0 and res_ok and fwd_ok:
-            break
+            return z, residuals, forwards, prec, trace
         if prec >= max_precision_bits:
             raise NonConvergenceError(
                 f"root finding did not certify at {prec} bits "
@@ -326,8 +289,38 @@ def solve_all_roots(provider, degree, precision_bits, max_precision_bits=MAX_PRE
             )
         prec = min(2 * prec, max_precision_bits)
         trace.append({"phase": "double-precision", "target_bits": prec})
+
+
+def solve_all_roots(coeffs, precision_bits, max_precision_bits=MAX_PRECISION):
+    """Find all roots of sum_k coeffs[k] z^k with certification.
+
+    ``coeffs`` holds exact ComplexRationals or already-rounded mpcs.  Each
+    working precision rounds the list afresh with ``to_big_complex``, so
+    the accuracy of rounded input caps what can be certified.  Zero low
+    coefficients give exact roots at the origin with zero bounds; the
+    remaining roots come from the list with those coefficients stripped.
+
+    Returns (roots, residuals, forwards, precision_used, trace), rounded to
+    ``precision_used`` bits and sorted lexicographically by (re, im).
+    Raises NonConvergenceError with the iteration trace when even the
+    precision cap fails to certify.
+    """
+    degree = len(coeffs) - 1
+    if degree < 1:
+        raise InvalidInputError("polynomial must have at least one root")
+    zeros_at_origin = 0
+    while zeros_at_origin < degree and not coeffs[zeros_at_origin]:
+        zeros_at_origin += 1
+    if zeros_at_origin == degree:
+        z, residuals, forwards, prec, trace = [], [], [], precision_bits, []
+    else:
+        z, residuals, forwards, prec, trace = _solve_nonzero(
+            coeffs[zeros_at_origin:], precision_bits, max_precision_bits
+        )
     with mp.workprec(prec):
-        out = [mp.mpc(zi) for zi in z]
+        out = [mp.mpc(0)] * zeros_at_origin + [mp.mpc(zi) for zi in z]
+        residuals = [mp.mpf(0)] * zeros_at_origin + list(residuals)
+        forwards = [mp.mpf(0)] * zeros_at_origin + list(forwards)
         order = sorted(range(degree), key=lambda i: (out[i].real, out[i].imag))
         out = [out[i] for i in order]
         residuals = [mp.mpf(residuals[i]) for i in order]
@@ -342,7 +335,7 @@ class RootCountingMeasure:
     ``roots`` are sorted lexicographically by (re, im) and counted with
     multiplicity; ``clusters`` lists index groups closer together than the
     cluster radius 2^(-precision_bits/8) (a diagnostic -- the atoms keep
-    unit weight).
+    unit weight).  A forward bound of infinity means the bound is unknown.
     """
 
     roots: tuple
@@ -363,7 +356,23 @@ class RootCountingMeasure:
 
     @property
     def cluster_radius(self):
-        return mp.mpf(2) ** (-self.precision_bits // 8)
+        return _cluster_radius(self.precision_bits)
+
+    @classmethod
+    def from_roots(cls, roots, precision_bits, residual_bounds, forward_error_bounds, source_n):
+        """The measure on sorted ``roots``, with its certification threshold
+        and clusters derived from ``precision_bits``."""
+        with mp.workprec(precision_bits):
+            clusters = _find_clusters(roots, _cluster_radius(precision_bits))
+        return cls(
+            roots=tuple(roots),
+            precision_bits=precision_bits,
+            residual_bounds=tuple(residual_bounds),
+            forward_error_bounds=tuple(forward_error_bounds),
+            certification_threshold=_residual_threshold(precision_bits),
+            clusters=clusters,
+            source_n=source_n,
+        )
 
     def total_mass(self) -> Fraction:
         """Exactly 1: n atoms of weight 1/n (computed in rational arithmetic)."""
@@ -406,26 +415,14 @@ def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION,
         raise InvalidInputError("cannot root-find the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("constant polynomial has no roots")
-    provider = _ExactCoeffs(p.coeffs)
     roots, residuals, forwards, prec, _trace = solve_all_roots(
-        provider, p.degree, precision_bits, max_precision_bits
+        p.coeffs, precision_bits, max_precision_bits
     )
-    with mp.workprec(prec):
-        clusters = _find_clusters(roots, mp.mpf(2) ** (-prec // 8))
-        threshold = mp.mpf(2) ** (-prec // 4)
-    return RootCountingMeasure(
-        roots=tuple(roots),
-        precision_bits=prec,
-        residual_bounds=tuple(residuals),
-        forward_error_bounds=tuple(forwards),
-        certification_threshold=threshold,
-        clusters=clusters,
-        source_n=p.n,
-    )
+    return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n)
 
 
 def _check_not_pole(m: RootCountingMeasure, z):
-    guard = mp.mpf(2) ** (-m.precision_bits // 2)
+    guard = _forward_threshold(m.precision_bits)
     for zeta in m.roots:
         if abs(z - zeta) <= guard * (1 + abs(zeta)):
             raise PoleError(f"evaluation point {z} coincides with a root within {guard}")

@@ -127,7 +127,11 @@ def write_roots(path, m: RootCountingMeasure, schedule: ParameterSchedule) -> No
 
 
 def read_roots(path) -> RootCountingMeasure:
-    """Rebuild a measure from a roots export (precision from the header)."""
+    """Rebuild a measure from a roots export (precision from the header).
+
+    Clusters are recomputed from the stored roots; forward bounds are not
+    stored, so they read back as infinite (unknown).
+    """
     precision = None
     source_n = None
     roots = []
@@ -148,17 +152,10 @@ def read_roots(path) -> RootCountingMeasure:
     if precision is None:
         raise InvalidInputError(f"roots file {path} lacks a precision header")
     with mp.workprec(precision):
-        zs = tuple(mp.mpc(mp.mpf(a), mp.mpf(b)) for a, b in roots)
-        rs = tuple(mp.mpf(r) for r in residuals)
-        threshold = mp.mpf(2) ** (-precision // 4)
-    return RootCountingMeasure(
-        roots=zs,
-        precision_bits=precision,
-        residual_bounds=rs,
-        forward_error_bounds=tuple(mp.mpf(0) for _ in zs),
-        certification_threshold=threshold,
-        clusters=(),
-        source_n=source_n or len(zs),
+        zs = [mp.mpc(mp.mpf(a), mp.mpf(b)) for a, b in roots]
+        rs = [mp.mpf(r) for r in residuals]
+    return RootCountingMeasure.from_roots(
+        zs, precision, rs, [mp.inf] * len(zs), source_n or len(zs)
     )
 
 
@@ -270,21 +267,7 @@ def read_region_grid(path) -> RegionGrid:
     header = json.loads(text[0])
     res = header["resolution"]
     labels = np.array([[int(ch) for ch in row] for row in text[1 : res + 1]], dtype=np.int16)
-    xmin, xmax, ymin, ymax = header["box"]
-    xs = xmin + (np.arange(res) + 0.5) * (xmax - xmin) / res
-    ys = ymin + (np.arange(res) + 0.5) * (ymax - ymin) / res
-    kmask = np.zeros_like(labels, dtype=bool)
-    diff_v = labels[:-1, :] != labels[1:, :]
-    X = np.meshgrid(xs, ys)[0]
-    Y = np.meshgrid(xs, ys)[1]
-    straddle = (np.sign(Y[:-1, :]) != np.sign(Y[1:, :])) & (X[:-1, :] < 0)
-    diff_v &= ~straddle
-    kmask[:-1, :] |= diff_v
-    kmask[1:, :] |= diff_v
-    diff_h = labels[:, :-1] != labels[:, 1:]
-    kmask[:, :-1] |= diff_h
-    kmask[:, 1:] |= diff_h
-    return RegionGrid(tuple(header["box"]), res, labels, kmask, xs, ys)
+    return RegionGrid.from_labels(header["box"], res, labels)
 
 
 # -- reports and manifests ----------------------------------------------------

@@ -27,7 +27,6 @@ from hyperzeros.hyppoly import (
 )
 from hyperzeros.potential import classify_regions, make_harmonic_system, trace_conjectured_loop
 from hyperzeros.rootfinding import (
-    _FixedCoeffs,
     cauchy_transform_at,
     find_roots,
     solve_all_roots,
@@ -189,9 +188,7 @@ def test_criterion_6_branch_points():
             ok &= abs(bps.points[0] - to_big_complex(expected, 224)) < mp.mpf(2) ** -180
         # independent route: zeros of the exact w-discriminant
         disc = discriminant_z(curve)
-        roots, _, _, _, _ = solve_all_roots(
-            _FixedCoeffs([to_big_complex(c, 224) for c in disc]), len(disc) - 1, 192
-        )
+        roots, _, _, _, _ = solve_all_roots([to_big_complex(c, 224) for c in disc], 192)
         with mp.workprec(224):
             target = to_big_complex(expected, 224)
             nontrivial = [r for r in roots if abs(r) > 1e-20 and abs(r - 1) > 1e-20]

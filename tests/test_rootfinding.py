@@ -109,6 +109,22 @@ class TestFindRoots:
         with mp.workprec(128):
             assert m.weight == mp.mpf(1) / 2
 
+    @pytest.mark.parametrize("coeffs, at_origin", [([0, 0, -1, 0, 1], 2), ([0, 0, 0, 1], 3)])
+    def test_roots_at_origin(self, coeffs, at_origin):
+        # z^2 (z^2 - 1) and z^3: the exact zeros at 0 are merged into the sort
+        p = poly_from(coeffs)
+        m = find_roots(p, 128)
+        assert m.n == p.degree
+        keys = [(z.real, z.imag) for z in m.roots]
+        assert keys == sorted(keys)
+        zeros = [i for i, z in enumerate(m.roots) if z == 0]
+        assert len(zeros) == at_origin
+        assert all(m.residual_bounds[i] == 0 for i in zeros)
+        assert all(m.forward_error_bounds[i] == 0 for i in zeros)
+        with mp.workprec(128):
+            others = [z for z in m.roots if z != 0]
+            assert all(min(abs(z - 1), abs(z + 1)) < mp.mpf(2) ** -100 for z in others)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(InvalidInputError):
             find_roots(poly_from([0]), 128)

@@ -7,7 +7,7 @@ import pytest
 from hyperzeros import serialize
 from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import ComplexRational
-from hyperzeros.hyppoly import ParameterSchedule, build_polynomial
+from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.potential import classify_regions, make_harmonic_system, trace_conjectured_loop
 from hyperzeros.rootfinding import find_roots
 
@@ -65,6 +65,18 @@ class TestRoots:
         with mp.workprec(m.precision_bits + 16):
             for a, b in zip(m.roots, back.roots):
                 assert abs(a - b) < mp.mpf(2) ** (-m.precision_bits + 8)
+
+    def test_roundtrip_recomputes_clusters(self, tmp_path):
+        # z^2 - 2z + 1: the double root at 1 is certified as a cluster
+        m = find_roots(HypPolynomial.from_coefficients([1, -2, 1], K1, 2), 128)
+        assert m.clusters == ((0, 1),)
+        path = tmp_path / "roots.txt"
+        serialize.write_roots(path, m, K1)
+        back = serialize.read_roots(path)
+        assert back.clusters == m.clusters
+        assert back.certification_threshold == m.certification_threshold
+        # the file carries no forward bounds, so none are claimed
+        assert all(f == mp.inf for f in back.forward_error_bounds)
 
     def test_write_deterministic(self, tmp_path):
         m = find_roots(build_polynomial(K1, 5), 128)
