@@ -5,9 +5,13 @@ Newton-polygon circles (radii from the coefficient-based root-magnitude
 bound), with companion-matrix eigenvalues as a deterministic fallback for
 hard seeds.  Coefficients of this polynomial family span hundreds of orders
 of magnitude, so the working precision carries the coefficient spread on
-top of the requested precision, and every root is certified a posteriori by
-a running-error Horner bound.  If certification fails the solve is retried
-at doubled precision, up to a hard cap.
+top of the requested precision.  The sweeps run in fixed point on Gaussian
+integers (CPython ints) after a block exponent scales the coefficients, and
+stop at the noise floor of a floating-point evaluation at the working
+precision.  Every root is then certified a posteriori in mpmath by a
+running-error Horner bound, so a fault in the sweeps can cost iterations
+or a precision doubling but never a false certificate.  If certification
+fails the solve is retried at doubled precision, up to a hard cap.
 
 The solver has one entry, ``solve_all_roots``, which takes a plain
 coefficient list (exact ComplexRationals or already-rounded mpcs) and
@@ -18,12 +22,21 @@ polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpc_pos,
+    mpf_div,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import InvalidInputError, NonConvergenceError, PoleError
 from .exact import ComplexRational
@@ -45,14 +58,25 @@ def fraction_to_mpf(f: Fraction, prec: int) -> mp.mpf:
 
 
 def to_big_complex(x, prec: int) -> mp.mpc:
-    """Correctly rounded conversion of a ComplexRational (or number) at ``prec`` bits."""
+    """Correctly rounded conversion of a ComplexRational (or number) at ``prec`` bits.
+
+    Every input type is rounded at ``prec`` itself, independent of the
+    ambient context precision.
+    """
     if isinstance(x, ComplexRational):
         return mp.make_mpc(
             (fraction_to_mpf(x.re, prec)._mpf_, fraction_to_mpf(x.im, prec)._mpf_)
         )
     if isinstance(x, (int, Fraction)):
-        return mp.make_mpc((fraction_to_mpf(Fraction(x), prec)._mpf_, mp.mpf(0)._mpf_))
-    return mp.mpc(x)
+        return mp.make_mpc((fraction_to_mpf(Fraction(x), prec)._mpf_, fzero))
+    if hasattr(x, "_mpc_"):
+        v = x._mpc_
+    elif hasattr(x, "_mpf_"):
+        v = (x._mpf_, fzero)
+    else:
+        # Python floats and complexes convert exactly at 53 bits
+        v = (from_float(float(x.real)), from_float(float(x.imag)))
+    return mp.make_mpc(mpc_pos(v, prec, round_nearest))
 
 
 def _residual_threshold(prec):
@@ -154,41 +178,113 @@ def _horner(c, ca, cp, z):
     return pv, pt, dv
 
 
-def _aberth_phase(c, z, noise_unit, cap):
+def _aberth_phase(c, z, wp, spread, cap):
     """Run Ehrlich-Aberth sweeps until every root's correction sinks below its
     evaluation-noise floor; returns (z, sweeps, active_left).
+
+    The sweeps run in fixed point on Gaussian integers.  The coefficients are
+    first scaled by one power of two, a block exponent that leaves the roots
+    unchanged, so that max|c_k| lies in [1, 2).  Coefficients and iterates
+    then become (re, im) integer pairs on the grid 2^-b, b = wp + spread + 4.
+    Horner's rule for p and p', the running-error sum pt = sum |c_k| |z|^k,
+    the Newton quotient, the Aberth sum and the correction are integer
+    operations; the iterates come back as mpcs rounded to ``wp`` bits.
+
+    A root stays active while |corr| |p'| > 4 u pt, u = 2 deg 2^-wp, which is
+    the floating-point Horner noise model at ``wp`` bits; the test is squared
+    and compared exactly in integers.  Rounding on the grid perturbs p(z) by
+    at most 4 (deg + 1) 2^-b max(1, |z|)^deg, and pt >= 2^-spread
+    max(1, |z|)^deg because both end coefficients lie within 2^spread of the
+    largest.  The kernel's own error therefore stays below a quarter of u pt,
+    and the stop test sees the noise floor of a wp-bit evaluation.
 
     Updates are applied sequentially within a sweep (simultaneous updates can
     lock symmetric pairs into 2-cycles).  The iteration is single-threaded and
     fully deterministic.
     """
     deg = len(c) - 1
-    ca = [abs(ck) for ck in c]
-    cp = [c[k] * k for k in range(1, deg + 1)]
+    b = wp + spread + 4
+    one = 1 << b
+    # block exponent: c_k * 2^shift lands on the grid with max|c_k| in [1, 2)
+    top = max(x[2] + x[3] for ck in c for x in ck._mpc_ if x[1])
+    shift = b + 1 - top
+    cr = [to_fixed(ck._mpc_[0], shift) for ck in c]
+    ci = [to_fixed(ck._mpc_[1], shift) for ck in c]
+    if max(r * r + i * i for r, i in zip(cr, ci)) >> (2 * b + 2):
+        cr = [r >> 1 for r in cr]
+        ci = [i >> 1 for i in ci]
+    ca = [math.isqrt(r * r + i * i) for r, i in zip(cr, ci)]
+    lower = list(zip(cr[deg - 1::-1], ci[deg - 1::-1], ca[deg - 1::-1]))
+    zr = [to_fixed(zk._mpc_[0], b) for zk in z]
+    zi = [to_fixed(zk._mpc_[1], b) for zk in z]
+    floor_shift = b - wp
+    floor_scale = 8 * deg
     active = list(range(deg))
     sweeps = 0
     while active and sweeps < cap:
         sweeps += 1
+        # 1/(z_i - z_j) = conj(u) 2^2b / |u|^2 on the grid takes one division,
+        # t = 2^(2b + extra) // |u|^2; extra >= bits of u keeps each term
+        # within two grid units.  u = 0 (j = i, or an iterate that coincides
+        # with z_i) adds nothing.
+        extra = max(abs(v).bit_length() for v in zr + zi) + 1
+        pair_num = 1 << (2 * b + extra)
         still = []
         for i in active:
-            zi = z[i]
-            pv, pt, dv = _horner(c, ca, cp, zi)
-            if dv == 0:
-                # nudge off the exact critical point of p'
-                z[i] = zi * (1 + mp.mpf(2) ** -20) + mp.mpf(2) ** -20
+            xr = zr[i]
+            xi = zi[i]
+            vr = cr[deg]
+            vi = ci[deg]
+            pt = ca[deg]
+            dr = di = 0
+            az = math.isqrt(xr * xr + xi * xi)
+            # three-product complex multiply by z: with k = xr (wr + wi),
+            # w z = (k - wi (xr + xi)) + i (k + wr (xi - xr))
+            xs = xr + xi
+            xd = xi - xr
+            for ar, ai, aa in lower:
+                k = xr * (dr + di)
+                dr, di = ((k - di * xs) >> b) + vr, ((k + dr * xd) >> b) + vi
+                k = xr * (vr + vi)
+                vr, vi = ((k - vi * xs) >> b) + ar, ((k + vr * xd) >> b) + ai
+                pt = ((pt * az) >> b) + aa
+            dd = dr * dr + di * di
+            if not dd:
+                # nudge off the exact critical point of p': z (1 + 2^-20) + 2^-20
+                zr[i] = xr + (xr >> 20) + (one >> 20)
+                zi[i] = xi + (xi >> 20)
                 still.append(i)
                 continue
-            newton = pv / dv
-            s = mp.mpc(0)
-            for j in range(deg):
-                if j != i:
-                    s += 1 / (zi - z[j])
-            den = 1 - newton * s
-            corr = newton / den if den != 0 else newton
-            z[i] = zi - corr
-            if abs(corr) > 4 * noise_unit * pt / abs(dv):
+            nr = ((vr * dr + vi * di) << b) // dd
+            ni = ((vi * dr - vr * di) << b) // dd
+            sr = si = 0
+            for yr, yi in zip(zr, zi):
+                ur = xr - yr
+                ui = xi - yi
+                uu = ur * ur + ui * ui
+                if uu:
+                    t = pair_num // uu
+                    sr += ur * t
+                    si -= ui * t
+            sr >>= extra
+            si >>= extra
+            er = one - ((nr * sr - ni * si) >> b)
+            ei = -((nr * si + ni * sr) >> b)
+            ee = er * er + ei * ei
+            if ee:
+                kr = ((nr * er + ni * ei) << b) // ee
+                ki = ((ni * er - nr * ei) << b) // ee
+            else:
+                kr, ki = nr, ni
+            zr[i] = xr - kr
+            zi[i] = xi - ki
+            if (kr * kr + ki * ki) * dd > ((floor_scale * pt) << floor_shift) ** 2:
                 still.append(i)
         active = still
+    z = [
+        mp.make_mpc((from_man_exp(r, -b, wp, round_nearest), from_man_exp(i, -b, wp, round_nearest)))
+        for r, i in zip(zr, zi)
+    ]
     return z, sweeps, len(active)
 
 
@@ -241,9 +337,7 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
             c1 = [to_big_complex(ck, wp1) for ck in c]
             if z is None:
                 z = _newton_polygon_seeds(c1, degree)
-            noise1 = mp.mpf(2 * degree) * mp.mpf(2) ** (-wp1)
-            z = [mp.mpc(zi) for zi in z]
-            z, sw1, left1 = _aberth_phase(c1, z, noise1, cap=60)
+            z, sw1, left1 = _aberth_phase(c1, z, wp1, spread, cap=60)
         trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
         if left1 > degree // 2 and not tried_companion:
             # seeding failed badly; fall back to companion eigenvalues
@@ -256,9 +350,7 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
                 continue
         with mp.workprec(wp2):
             c2 = [to_big_complex(ck, wp2) for ck in c]
-            noise2 = mp.mpf(2 * degree) * mp.mpf(2) ** (-wp2)
-            z = [mp.mpc(zi) for zi in z]
-            z, sw2, left2 = _aberth_phase(c2, z, noise2, cap=120 + 2 * degree)
+            z, sw2, left2 = _aberth_phase(c2, z, wp2, spread, cap=120 + 2 * degree)
             residuals, forwards = _certificates(c2, z)
             res_thr = _residual_threshold(prec)
             res_ok = all(r < res_thr for r in residuals)
@@ -336,6 +428,10 @@ class RootCountingMeasure:
     multiplicity; ``clusters`` lists index groups closer together than the
     cluster radius 2^(-precision_bits/8) (a diagnostic -- the atoms keep
     unit weight).  A forward bound of infinity means the bound is unknown.
+    ``trace`` holds the solver's per-phase records (phase, working bits,
+    sweeps, roots left active, certificate outcomes) when the measure comes
+    from ``find_roots``; it is empty for a measure read from a file and takes
+    no part in equality.
     """
 
     roots: tuple
@@ -345,6 +441,7 @@ class RootCountingMeasure:
     certification_threshold: object
     clusters: tuple
     source_n: int
+    trace: tuple = field(default=(), compare=False)
 
     @property
     def n(self) -> int:
@@ -359,11 +456,11 @@ class RootCountingMeasure:
         return _cluster_radius(self.precision_bits)
 
     @classmethod
-    def from_roots(cls, roots, precision_bits, residual_bounds, forward_error_bounds, source_n):
+    def from_roots(cls, roots, precision_bits, residual_bounds, forward_error_bounds, source_n,
+                   trace=()):
         """The measure on sorted ``roots``, with its certification threshold
         and clusters derived from ``precision_bits``."""
-        with mp.workprec(precision_bits):
-            clusters = _find_clusters(roots, _cluster_radius(precision_bits))
+        clusters = _find_clusters(roots, precision_bits)
         return cls(
             roots=tuple(roots),
             precision_bits=precision_bits,
@@ -372,6 +469,7 @@ class RootCountingMeasure:
             certification_threshold=_residual_threshold(precision_bits),
             clusters=clusters,
             source_n=source_n,
+            trace=tuple(trace),
         )
 
     def total_mass(self) -> Fraction:
@@ -382,9 +480,31 @@ class RootCountingMeasure:
         return np.array([complex(z) for z in self.roots])
 
 
-def _find_clusters(roots, radius):
+def _find_clusters(roots, precision_bits):
+    """Index groups of ``roots`` within the cluster radius of each other.
+
+    Roots i < j join when |z_i - z_j| < r (1 + |z_i|), r = 2^(-precision_bits/8),
+    tested in mpmath at ``precision_bits``.  A float64 screen first rules out
+    the pairs whose distance exceeds that bound by more than a relative
+    2^-40 plus 2^-900: the margin covers the rounding of the float
+    conversion, subnormals included, and of the mpmath test.  Every other
+    pair, non-finite ones included, gets the mpmath test, so the groups are
+    those of testing all pairs.
+    """
     n = len(roots)
     parent = list(range(n))
+    radius = _cluster_radius(precision_bits)
+    rad = math.ldexp(1.0, -precision_bits // 8)
+    eps = 2.0 ** -40
+    with np.errstate(all="ignore"):
+        zf = np.array([complex(z) for z in roots], dtype=complex)
+        mag = np.abs(zf)
+        dist = np.abs(zf[:, None] - zf[None, :])
+        lower = dist * (1 - eps) - eps * (mag[:, None] + mag[None, :])
+        far = np.isfinite(lower) & (lower > rad * (1 + mag[:, None]) * (1 + eps) + 2.0 ** -900)
+    if rad == 0.0:
+        # the radius underflows float64, so the screen bounds nothing
+        far[:] = False
 
     def find(i):
         while parent[i] != i:
@@ -392,8 +512,8 @@ def _find_clusters(roots, radius):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    with mp.workprec(precision_bits):
+        for i, j in np.argwhere(np.triu(~far, 1)).tolist():
             if abs(roots[i] - roots[j]) < radius * (1 + abs(roots[i])):
                 parent[find(i)] = find(j)
     groups = {}
@@ -415,10 +535,10 @@ def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION,
         raise InvalidInputError("cannot root-find the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("constant polynomial has no roots")
-    roots, residuals, forwards, prec, _trace = solve_all_roots(
+    roots, residuals, forwards, prec, trace = solve_all_roots(
         p.coeffs, precision_bits, max_precision_bits
     )
-    return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n)
+    return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n, trace)
 
 
 def _check_not_pole(m: RootCountingMeasure, z):

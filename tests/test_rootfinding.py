@@ -3,15 +3,20 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperzeros.errors import InvalidInputError, PoleError
-from hyperzeros.exact import ComplexRational
+from hyperzeros.exact import ComplexRational, poly_from_roots
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.rootfinding import (
+    _cluster_radius,
+    _find_clusters,
     cauchy_transform_at,
     find_roots,
     fraction_to_mpf,
     log_potential_at,
+    solve_all_roots,
     to_big_complex,
     vieta_check,
 )
@@ -48,6 +53,23 @@ class TestConversions:
         z = to_big_complex(CR(F(1, 3), F(-2, 7)), 128)
         with mp.workprec(128):
             assert abs(z.real - mp.mpf(1) / 3) < mp.mpf(2) ** -126
+
+    def test_rounded_inputs_honour_prec(self):
+        # mpc, mpf and Python complex inputs round at prec, not at the
+        # ambient context precision
+        with mp.workprec(256):
+            third = mp.mpc(1) / 3
+        z = to_big_complex(third, 200)
+        assert z.real._mpf_[3] == 200
+        with mp.workprec(400):
+            assert abs(z.real - mp.mpf(1) / 3) <= mp.mpf(2) ** -200
+        with mp.workprec(256):
+            z = to_big_complex(third, 64)
+            assert z.real._mpf_[3] == 64
+            assert to_big_complex(third.real, 64).real._mpf_[3] == 64
+        with mp.workprec(20):
+            z = to_big_complex(complex(1 / 3, 0.1), 64)
+        assert (z.real, z.imag) == (mp.mpf(1 / 3), mp.mpf(0.1))
 
 
 class TestFindRoots:
@@ -136,6 +158,121 @@ class TestFindRoots:
     def test_low_precision_rejected(self):
         with pytest.raises(InvalidInputError):
             find_roots(poly_from([-1, 0, 1]), 32)
+
+
+def _trace_summary(trace):
+    return [(t["phase"], t.get("working_bits"), t.get("sweeps")) for t in trace]
+
+
+def _pow2(s):
+    return CR(F(2) ** s)
+
+
+class TestKernel:
+    """The fixed-point Aberth sweeps keep the floating-point schedule."""
+
+    @pytest.mark.parametrize("s", [-150, 150])
+    def test_block_exponent(self, s):
+        # 2^s (z^10 - 1): without the block exponent the s = -150 sweeps
+        # never reach their noise floor
+        coeffs = [-_pow2(s)] + [CR(0)] * 9 + [_pow2(s)]
+        roots, residuals, forwards, prec, trace = solve_all_roots(coeffs, 128)
+        assert _trace_summary(trace) == [("seed", 96, 6), ("refine", 192, 2)]
+        with mp.workprec(prec):
+            assert all(abs(z ** 10 - 1) < mp.mpf(2) ** -120 for z in roots)
+
+    @pytest.mark.parametrize("s, expected", [
+        (40, [("seed", 400, 12), ("refine", 528, 2)]),
+        (-40, [("seed", 369, 12), ("refine", 497, 2)]),
+    ])
+    def test_roots_far_from_the_unit_circle(self, s, expected):
+        # roots -k 2^s, k = 1..8: a 305- to 336-bit coefficient spread
+        exact = [-CR(k) * _pow2(s) for k in range(1, 9)]
+        roots, _, _, prec, trace = solve_all_roots(poly_from_roots(exact), 128)
+        assert _trace_summary(trace) == expected
+        with mp.workprec(prec):
+            for z, w in zip(roots, sorted(exact, key=lambda x: x.re)):
+                w = to_big_complex(w, prec)
+                assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
+
+    @pytest.mark.parametrize("n, expected", [
+        (20, [("seed", 96, 21), ("refine", 594, 4)]),
+        (40, [("seed", 102, 27), ("refine", 614, 17)]),
+    ])
+    def test_find_roots_keeps_schedule(self, n, expected):
+        m = find_roots(build_polynomial(SCHED, n), 512)
+        assert _trace_summary(m.trace) == expected
+        assert all(t["active_left"] == 0 for t in m.trace)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=9)
+        .filter(lambda c: c[-1] != (0, 0) and any(c[:-1])),
+        st.integers(-200, 200),
+    )
+    def test_matches_polyroots(self, gauss, s):
+        # Gaussian-integer coefficients times 2^s against mpmath's
+        # Durand-Kerner solver as an independent oracle
+        prec = 128
+        coeffs = [CR(a, b) * _pow2(s) for a, b in gauss]
+        roots, residuals, forwards, used, _ = solve_all_roots(coeffs, prec)
+        assert len(roots) == len(coeffs) - 1
+        assert all(r < mp.mpf(2) ** (-prec // 4) for r in residuals)
+        at_origin = next(k for k, c in enumerate(gauss) if c != (0, 0))
+        assert sum(1 for z in roots if z == 0) == at_origin
+        with mp.workprec(2 * prec):
+            try:
+                oracle = mp.polyroots(
+                    [mp.mpc(a, b) for a, b in reversed(gauss[at_origin:])],
+                    maxsteps=400, extraprec=2 * prec,
+                )
+            except mp.NoConvergence:
+                return  # a multiple root stalls the oracle; the residuals stand
+            tol = mp.mpf(2) ** (-prec // 4)
+            ours = [z for z in roots if z != 0]
+            for z in ours:
+                assert min(abs(z - w) - tol * abs(w) for w in oracle) <= 0
+            for w in oracle:
+                assert min(abs(z - w) for z in ours) <= tol * abs(w)
+
+
+class TestClusters:
+    def test_double_root(self):
+        # (z - 1)^2 (z + 1): the double root forms the one cluster
+        m = find_roots(poly_from([1, -1, -1, 1]), 128)
+        assert m.clusters == ((1, 2),)
+
+    @pytest.mark.parametrize("prec", [64, 128, 512])
+    def test_screen_matches_all_pairs(self, prec):
+        # the float64 screen drops no pair the all-pairs mpmath test joins
+        rng = np.random.default_rng(7)
+        r = _cluster_radius(prec)
+        with mp.workprec(prec):
+            base = [mp.mpc(*rng.normal(size=2)) * mp.mpf(2) ** int(k)
+                    for k in rng.integers(-60, 60, size=12)]
+            roots = []
+            for z in base:
+                roots += [z, z + r * (1 + abs(z)) * mp.mpf(0.999), z + r * (1 + abs(z)) * 1.001]
+            roots += [mp.mpc(mp.inf, 0), mp.mpc(2) ** 2000, mp.mpc(2) ** -2000, mp.mpc(0)]
+            roots.sort(key=lambda z: (z.real, z.imag))
+            n = len(roots)
+            joined = {(i, j) for i in range(n) for j in range(i + 1, n)
+                      if abs(roots[i] - roots[j]) < r * (1 + abs(roots[i]))}
+        expected = _components(n, joined)
+        assert _find_clusters(roots, prec) == expected
+        assert expected
+
+
+def _components(n, edges):
+    """Groups of size > 1 from an edge set, ordered by smallest member."""
+    label = list(range(n))
+    for i, j in sorted(edges):
+        a, b = label[i], label[j]
+        label = [a if x == b else x for x in label]
+    groups = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
 class TestCauchyTransform:

@@ -75,6 +75,8 @@ class TestRoots:
         back = serialize.read_roots(path)
         assert back.clusters == m.clusters
         assert back.certification_threshold == m.certification_threshold
+        # the solver trace lives only in memory
+        assert m.trace and back.trace == ()
         # the file carries no forward bounds, so none are claimed
         assert all(f == mp.inf for f in back.forward_error_bounds)
 
