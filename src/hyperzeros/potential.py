@@ -4,10 +4,15 @@ Each branch w = f_i(z) of the limit curve integrates to a harmonic function
 H_i(z) = Re int_p^z f_i(s) ds on a simply connected set avoiding {0, 1}.
 For degenerate schedules the branches are rational and the H_i have closed
 forms; otherwise values are obtained by quadrature along paths with branch
-tracking.  Shifted copies H~_i = H_i + (H_1(p_i) - H_i(p_i)) agree with H_1
-at the branch point p_i; their pairwise level sets carry the conjectured
-zero clusters, and the pointwise maximum of the shifted branches cuts the
-plane into regions whose boundary is the discrete singular set K.
+tracking.  One routine does all such quadrature, for harmonic values and for
+integral-mode level curves alike: adaptive Gauss-Kronrod 7/15 steps that
+track every branch they integrate together and take their error estimate
+from the embedded Gauss rule.
+
+Shifted copies H~_i = H_i + (H_1(p_i) - H_i(p_i)) agree with H_1 at the
+branch point p_i; their pairwise level sets carry the conjectured zero
+clusters, and the pointwise maximum of the shifted branches cuts the plane
+into regions whose boundary is the discrete singular set K.
 
 Arg is the principal branch in (-pi, pi]; the cut on the negative real axis
 is treated as a barrier: traces stop there and the region grid never
@@ -26,12 +31,9 @@ from .algcurve import BivariateCurve, build_curve, w_coefficients
 from .errors import (
     BranchCollisionError,
     InvalidInputError,
-    NonConvergenceError,
     SaddleAtSeedError,
 )
 from .hyppoly import ParameterSchedule
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
 TRACE_RESIDUAL_TOL = 1e-12
 SINGULAR_GUARD = 1e-13
@@ -183,7 +185,7 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
 
 
 class _BranchTracker:
-    """Follows one branch of A(z, w) = 0 along points by nearest continuation."""
+    """Follows branches of A(z, w) = 0 along points by nearest continuation."""
 
     def __init__(self, curve: BivariateCurve, min_separation=1e-9):
         self.m = [complex(c) for c in curve.m_coeffs]
@@ -204,60 +206,106 @@ class _BranchTracker:
             raise InvalidInputError(f"branch indices {tuple(indices)} out of range 1..{len(ws)}")
         return [ws[i - 1] for i in indices]
 
-    def step(self, z: complex, w_prev: complex) -> tuple:
-        """Continue the branch with value w_prev to the point z.
+    def step(self, z: complex, w_prev) -> tuple:
+        """Continue the branches with values ``w_prev`` (an array) to the point z.
 
-        Returns (w, margin_ok) where margin_ok is False when the move
-        exceeds a quarter of the separation to the nearest other branch
-        (the caller should shorten its step).
+        Each value moves to its nearest branch at z.  Returns (w, margin_ok)
+        where margin_ok is False when some move exceeds a quarter of the
+        separation from its branch to the nearest other branch (the caller
+        should shorten its step).
         """
         ws = self.all_branches(z)
-        dists = np.abs(ws - w_prev)
-        k = int(np.argmin(dists))
-        w = ws[k]
-        others = np.delete(ws, k)
-        if len(others):
-            sep = float(np.min(np.abs(others - w)))
-            if sep < self.min_separation:
-                raise BranchCollisionError(
-                    f"branches collide near z = {z} (separation {sep:.2e}); "
-                    "reroute the path",
-                    where=z,
-                )
-            if dists[k] > sep / 4:
-                return w, False
-        return w, True
+        dists = np.abs(w_prev[:, None] - ws)
+        w = ws[dists.argmin(axis=1)]
+        if len(ws) < 2:
+            return w, True
+        # the smallest distance from w to a branch is 0 (its own); the next is
+        # the separation
+        sep = np.sort(np.abs(w[:, None] - ws), axis=1)[:, 1]
+        if sep.min() < self.min_separation:
+            raise BranchCollisionError(
+                f"branches collide near z = {z} (separation {sep.min():.2e}); "
+                "reroute the path",
+                where=z,
+            )
+        return w, bool((dists.min(axis=1) <= sep / 4).all())
 
 
-def _gauss_segment(tracker, a: complex, b: complex, w_start: complex, reanchor=None):
-    """One Gauss pass over [a, b] with branch tracking; returns (integral, w_end).
+# QUADPACK's qk15 Gauss-Kronrod 7/15 rule on [-1, 1]: the nodes x >= 0 from
+# the outside in, their Kronrod weights, and their Gauss weights (0 at the
+# Kronrod-only nodes).
+_QK15 = np.array([
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+])
+# all 15 nodes in ascending order, then the step's end x = 1 with weight 0
+_GK_X, _K15_W, _G7_W = np.concatenate([_QK15 * (-1, 1, 1), _QK15[-2::-1], [(1, 0, 0)]]).T
 
-    ``reanchor(s)`` may return a closed-form branch value to take instead of
-    the tracked one (used near branch points, where nearest-value matching
-    is ill-conditioned), or None to keep tracking.
+
+def _integrate(tracker, a: complex, b: complex, ws, tol: float, reanchor=None):
+    """Integrals of tracked branches along the segment [a, b]; returns
+    (integrals, ws_end).
+
+    ``ws`` holds the values at a of the branches to integrate; all of them
+    are tracked together, one ``all_branches`` call per node.  Each step is
+    a Gauss-Kronrod 7/15 pass whose error estimate |K15 - G7| reuses the
+    step's own nodes.  A step is halved when that estimate exceeds
+    tol * max(1, |b - a|) or a branch moves more than a quarter of its
+    separation, and doubled after an estimate below tol / 100.
+    ``reanchor(s)`` may return closed-form branch values to take instead of
+    the tracked ones (near branch points, where nearest-value matching is
+    ill-conditioned), or None to keep tracking.  A step below 1e-12 of the
+    segment raises BranchCollisionError so the caller can reroute.
     """
 
     def advance(s, w):
         override = reanchor(s) if reanchor is not None else None
         if override is not None:
-            return override
-        w, ok = tracker.step(s, w)
+            return override, True
+        return tracker.step(s, w)
+
+    ws = np.asarray(ws, dtype=complex)
+    total = np.zeros_like(ws)
+    limit = tol * max(1.0, abs(b - a))
+    t = 0.0
+    dt = 1.0
+    while t < 1.0 - 1e-15:
+        dt = min(dt, 1.0 - t)
+        a0 = a + (b - a) * t
+        half = (b - a) * dt / 2
+        w = ws
+        vals = []
+        for x in _GK_X:
+            w, ok = advance(a0 + half * (1 + x), w)
+            if not ok:
+                break
+            vals.append(w)
+        if ok:
+            vals = np.array(vals)
+            kronrod = half * (_K15_W @ vals)
+            err = float(np.max(np.abs(kronrod - half * (_G7_W @ vals))))
+            ok = err <= limit
         if not ok:
-            raise _StepReject()
-        return w
-
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    total = 0j
-    w = w_start
-    for x, wt in zip(_GAUSS_X, _GAUSS_W):
-        w = advance(mid + half * x, w)
-        total += wt * w
-    return total * half, advance(b, w)
-
-
-class _StepReject(Exception):
-    pass
+            dt /= 2
+            if dt < 1e-12:
+                raise BranchCollisionError(
+                    f"quadrature step collapsed near {a0}; branch margin or "
+                    "accuracy unattainable (reroute the path)",
+                    where=a0,
+                )
+            continue
+        total += kronrod
+        ws = w
+        t += dt
+        if err < tol / 100:
+            dt *= 2
+    return total, ws
 
 
 def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None,
@@ -265,70 +313,31 @@ def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None,
     """H_i(z) = Re int_p^z f_i(s) ds by adaptive quadrature with branch tracking.
 
     The path (polyline from the basepoint to z, default the straight
-    segment) must avoid {0, 1} and the branch points.  The branch is chosen
-    nearest to the previous step's value; a step is shortened whenever the
-    value moves more than a quarter of the separation to the nearest other
-    branch, and a genuine collision raises BranchCollisionError so the
-    caller can reroute.
+    segment) must avoid {0, 1} and the branch points.  Each segment is one
+    ``_integrate`` call, so the branch is tracked to the nearest value, steps
+    shorten where it nears another branch, and a genuine collision raises
+    BranchCollisionError so the caller can reroute.
     """
-    z = complex(z)
-    waypoints = [sys.basepoint] + ([complex(w) for w in path] if path else []) + [z]
-    # drop consecutive duplicates
-    pts = [waypoints[0]]
-    for w in waypoints[1:]:
-        if w != pts[-1]:
-            pts.append(w)
+    pts = [sys.basepoint] + ([complex(w) for w in path] if path else []) + [complex(z)]
     tracker = _BranchTracker(sys.curve)
     if sys.mode == "closed":
-        w = complex(sys.branch_value(i, sys.basepoint))
+        w = [complex(sys.branch_value(i, sys.basepoint))]
         bpts = sys.branch_point_list
 
         def reanchor(s, _i=i):
             # nearest-value matching degenerates where branches collide;
             # the closed form disambiguates there
             if min(abs(s - b) for b in bpts) < 0.05:
-                return complex(sys.branch_value(_i, s))
+                return np.array([complex(sys.branch_value(_i, s))])
             return None
 
     else:
-        (w,) = tracker.select(sys.basepoint, (i,))
+        w = tracker.select(sys.basepoint, (i,))
         reanchor = None
     total = 0j
     for a, b in zip(pts[:-1], pts[1:]):
-        # consecutive waypoints differ, so every segment has positive length
-        seg_len = abs(b - a)
-        t = 0.0
-        dt = 1.0
-        w_seg = w
-        while t < 1.0 - 1e-15:
-            dt = min(dt, 1.0 - t)
-            a0 = a + (b - a) * t
-            b0 = a + (b - a) * (t + dt)
-            mid = (a0 + b0) / 2
-            try:
-                whole, _wend = _gauss_segment(tracker, a0, b0, w_seg, reanchor)
-                left, w_mid = _gauss_segment(tracker, a0, mid, w_seg, reanchor)
-                right, w_end = _gauss_segment(tracker, mid, b0, w_mid, reanchor)
-            except _StepReject:
-                dt /= 2
-                if dt < 1e-12:
-                    raise NonConvergenceError(
-                        f"quadrature step collapsed near {a0}; branch margin "
-                        "unattainable (reroute the path)"
-                    )
-                continue
-            err = abs(whole - (left + right))
-            if err > tol * max(1.0, seg_len):
-                dt /= 2
-                if dt < 1e-12:
-                    raise NonConvergenceError(f"quadrature did not converge near {a0}")
-                continue
-            total += left + right
-            w_seg = w_end
-            t += dt
-            if err < tol * 0.01:
-                dt *= 2
-        w = w_seg
+        seg, w = _integrate(tracker, a, b, w, tol, reanchor)
+        total += seg[0]
     return float(total.real)
 
 
@@ -400,40 +409,16 @@ class _IntegralLevelFunction:
         self.f_anchor = 0.0
         self._last = None
 
-    def _integrate_to(self, z):
-        z = complex(z)
-        total = 0j
-        wi, wj = self.wi, self.wj
-        if z == self.anchor:
-            return self.f_anchor, wi, wj
-        dt = 1.0 / (int(abs(z - self.anchor) / 0.05) + 1)
-        t = 0.0
-        rejects = 0
-        while t < 1.0 - 1e-15:
-            step_dt = min(dt, 1.0 - t)
-            a0 = self.anchor + (z - self.anchor) * t
-            b0 = self.anchor + (z - self.anchor) * (t + step_dt)
-            try:
-                seg_i, wi_end = _gauss_segment(self.tracker, a0, b0, wi)
-                seg_j, wj_end = _gauss_segment(self.tracker, a0, b0, wj)
-            except _StepReject:
-                rejects += 1
-                if rejects > 60:
-                    raise BranchCollisionError(
-                        f"branch margin unattainable near {b0}", where=b0
-                    )
-                dt = step_dt / 2
-                continue
-            total += seg_i - seg_j
-            wi, wj = wi_end, wj_end
-            t += step_dt
-            rejects = 0
-            dt = min(dt * 1.5, 1.0)
-        return float(self.f_anchor + total.real), wi, wj
-
     def value(self, z):
-        f, wi, wj = self._integrate_to(z)
-        self._last = (complex(z), f, wi, wj)
+        z = complex(z)
+        if z == self.anchor:
+            f, wi, wj = self.f_anchor, self.wi, self.wj
+        else:
+            (ii, ij), (wi, wj) = _integrate(
+                self.tracker, self.anchor, z, (self.wi, self.wj), 1e-12
+            )
+            f = float(self.f_anchor + (ii - ij).real)
+        self._last = (z, f, wi, wj)
         return f
 
     def _state(self, z):
@@ -706,16 +691,23 @@ class PsiValue:
 PSI_TIE_TOL = 1e-10
 
 
+def _shifted_stack(sys: HarmonicSystem, z) -> np.ndarray:
+    """H~_1(z), ..., H~_A(z) stacked along a new first axis, with non-finite
+    values taken as -inf so they never achieve the maximum."""
+    stack = np.stack([sys.shifted(i, z) for i in range(1, sys.num_branches + 1)])
+    return np.where(np.isfinite(stack), stack, -np.inf)
+
+
 def psi_value(sys: HarmonicSystem, z) -> PsiValue:
     """Max over {H_1, H~_2, ..., H~_A} with the achieving (1-based) index.
 
-    Ties within 1e-10 are broken by the smallest index and reported.
+    Ties within 1e-10 are broken by the smallest index and reported (the
+    region grid takes the plain argmax, since its labels carry no ties).
     """
-    vals = [float(sys.shifted(i, z)) for i in range(1, sys.num_branches + 1)]
-    top = max(vals)
-    idx = next(k for k, v in enumerate(vals, start=1) if v >= top - PSI_TIE_TOL)
-    tie = sum(1 for v in vals if v >= top - PSI_TIE_TOL) > 1
-    return PsiValue(top, idx, tie)
+    vals = _shifted_stack(sys, z)
+    top = float(vals.max())
+    near = np.flatnonzero(vals >= top - PSI_TIE_TOL)
+    return PsiValue(top, int(near[0]) + 1, len(near) > 1)
 
 
 @dataclass(frozen=True)
@@ -806,7 +798,5 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
     xs, ys = RegionGrid.cell_centres(box, res)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
-    stack = np.stack([sys.shifted(i, Z) for i in range(1, sys.num_branches + 1)])
-    stack = np.where(np.isfinite(stack), stack, -np.inf)
-    labels = np.argmax(stack, axis=0).astype(np.int16) + 1
+    labels = np.argmax(_shifted_stack(sys, Z), axis=0).astype(np.int16) + 1
     return RegionGrid.from_labels(box, res, labels)

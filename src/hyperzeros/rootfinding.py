@@ -321,7 +321,8 @@ def _certificates(c, z):
 def _solve_nonzero(c, precision_bits, max_precision_bits):
     """Aberth with precision doubling for a coefficient list with c[0] != 0.
 
-    Returns the unsorted (roots, residuals, forwards, precision_used, trace).
+    Returns the unsorted (roots, residuals, forwards, precision_used, trace),
+    the roots rounded to precision_used bits and the bounds evaluated there.
     """
     degree = len(c) - 1
     with mp.workprec(64):
@@ -351,7 +352,8 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
         with mp.workprec(wp2):
             c2 = [to_big_complex(ck, wp2) for ck in c]
             z, sw2, left2 = _aberth_phase(c2, z, wp2, spread, cap=120 + 2 * degree)
-            residuals, forwards = _certificates(c2, z)
+            zr = [to_big_complex(zi, prec) for zi in z]
+            residuals, forwards = _certificates(c2, zr)
             res_thr = _residual_threshold(prec)
             res_ok = all(r < res_thr for r in residuals)
             fwd_thr = _forward_threshold(prec)
@@ -361,10 +363,10 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
                 # a Newton-style forward bound degrades like noise^(1/m) at an
                 # m-fold root; clustered roots are certified by residual alone
                 # and reported in the measure's cluster diagnostic
-                if forwards[i] < fwd_thr * (1 + abs(z[i])):
+                if forwards[i] < fwd_thr * (1 + abs(zr[i])):
                     return True
-                gap = min(abs(z[i] - z[j]) for j in range(degree) if j != i) if degree > 1 else mp.inf
-                return gap < cluster_rad * (1 + abs(z[i]))
+                gap = min(abs(zr[i] - zr[j]) for j in range(degree) if j != i) if degree > 1 else mp.inf
+                return gap < cluster_rad * (1 + abs(zr[i]))
 
             fwd_ok = all(_fwd_passes(i) for i in range(degree))
         trace.append(
@@ -372,7 +374,7 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
              "residuals_ok": res_ok, "forward_ok": fwd_ok}
         )
         if left2 == 0 and res_ok and fwd_ok:
-            return z, residuals, forwards, prec, trace
+            return zr, residuals, forwards, prec, trace
         if prec >= max_precision_bits:
             raise NonConvergenceError(
                 f"root finding did not certify at {prec} bits "

@@ -118,6 +118,13 @@ class TestIntegration:
         expected = math.log(abs(1 - z)) - math.log(abs(1 - sys_k1.basepoint))
         assert abs(v - expected) < 1e-10
 
+    @pytest.mark.parametrize("z", [1.5 - 0.005j, -0.6 + 0.01j])
+    def test_paths_near_singularities(self, sys_k1, z):
+        # the straight path from p = 1/2 passes within 0.01 of 1 or of 0
+        for i in (1, 2):
+            hv = float(sys_k1.harmonic(i, z))
+            assert abs(harmonic_value_by_integration(sys_k1, i, z) - hv) < 1e-10
+
     def test_integral_mode_machinery(self):
         sched = ParameterSchedule((-1, 1), (0, 1), (F(9, 8),), (1,))
         sys_ = make_harmonic_system(sched, basepoint=2.0 + 1.0j)
@@ -198,6 +205,21 @@ class TestIntegralModeTrace:
         vals = np.abs(curve.points * (1 - curve.points))
         assert np.max(np.abs(vals - 0.25)) < 1e-8
 
+    @pytest.mark.parametrize("z", [0.6 - 0.02j, 0.9 + 0.01j])
+    def test_level_function_matches_closed_form(self, sys_k1, z):
+        """An integral-mode query agrees with the closed forms to the
+        quadrature tolerance on a long segment that passes close to z = 1."""
+        from hyperzeros.potential import HarmonicSystem, _IntegralLevelFunction
+
+        forced = HarmonicSystem(
+            sys_k1.schedule, sys_k1.basepoint, "integral", sys_k1.curve, (), ()
+        )
+        seed = 1.4 + 0.3j
+        fun = _IntegralLevelFunction(forced, (1, 2), seed)
+        exact = float(sys_k1.difference((1, 2), z) - sys_k1.difference((1, 2), seed))
+        # the sorted branches at the seed are (-1/z, 1/(z-1)): the sign flips
+        assert abs(fun.value(z) + exact) < 1e-11
+
     def test_gradient_consistency(self):
         """Integral-mode H along a short segment matches its branch-value gradient."""
         sched = ParameterSchedule((-1, 1), (0, 1), (F(9, 8),), (1,))
@@ -211,10 +233,11 @@ class TestIntegralModeTrace:
 
         tracker = _BranchTracker(sys_.curve)
         ws = sorted(tracker.all_branches(sys_.basepoint), key=lambda v: (v.real, v.imag))
-        w = ws[0]
+        w = np.array([ws[0]])
         steps = 40
         for k in range(1, steps + 1):
             w, _ = tracker.step(sys_.basepoint + (z0 - sys_.basepoint) * k / steps, w)
+        (w,) = w
         # gradient of Re int f ds is conj(f)
         assert abs((v1 - v0) / h - w.real) < 1e-4
         assert abs((v2 - v0) / h - (-w.imag)) < 1e-4

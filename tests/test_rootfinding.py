@@ -10,6 +10,7 @@ from hyperzeros.errors import InvalidInputError, PoleError
 from hyperzeros.exact import ComplexRational, poly_from_roots
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.rootfinding import (
+    _certificates,
     _cluster_radius,
     _find_clusters,
     cauchy_transform_at,
@@ -113,6 +114,19 @@ class TestFindRoots:
         m = find_roots(p, 256)
         assert all(r < m.certification_threshold for r in m.residual_bounds)
 
+    def test_bounds_hold_at_returned_roots(self):
+        # the bounds are those of the roots as returned (rounded to
+        # precision_bits), not of the unrounded working-precision iterates
+        p = build_polynomial(SCHED, 20)
+        m = find_roots(p, 512)
+        wp = m.trace[-1]["working_bits"]
+        with mp.workprec(wp):
+            coeffs = [to_big_complex(c, wp) for c in p.coeffs]
+            residuals, forwards = _certificates(coeffs, list(m.roots))
+        with mp.workprec(m.precision_bits):
+            assert m.residual_bounds == tuple(mp.mpf(r) for r in residuals)
+            assert m.forward_error_bounds == tuple(mp.mpf(f) for f in forwards)
+
     def test_determinism_bit_identical(self):
         p = build_polynomial(ParameterSchedule.loop_2f1(CR(F(1, 2), -1)), 10)
         m1 = find_roots(p, 192)
@@ -192,6 +206,18 @@ class TestKernel:
         assert _trace_summary(trace) == expected
         with mp.workprec(prec):
             for z, w in zip(roots, sorted(exact, key=lambda x: x.re)):
+                w = to_big_complex(w, prec)
+                assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
+
+    def test_companion_reseed_on_far_cluster(self):
+        # roots 2^40 + k, k = 1..8: the Newton-polygon seeds stall at the
+        # sweep cap, and the solve certifies after a companion reseed
+        exact = [_pow2(40) + CR(k) for k in range(1, 9)]
+        roots, _, _, prec, trace = solve_all_roots(poly_from_roots(exact), 128)
+        assert "companion-reseed" in [t["phase"] for t in trace]
+        assert prec == 128
+        with mp.workprec(prec):
+            for z, w in zip(roots, exact):
                 w = to_big_complex(w, prec)
                 assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
 
