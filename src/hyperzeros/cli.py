@@ -4,6 +4,11 @@ Commands compose through files: ``roots`` and ``levels`` write what
 ``verify`` and ``plot`` read, with no hidden state.  Every command writes a
 manifest with the effective parameters and content hashes of its inputs.
 
+A flag wins over the ``--config`` JSON object, and the config wins over the
+default in the option's decorator.  click applies that order itself: the
+group hands the config to every command as its ``default_map``, so config
+keys are the option names with ``-`` replaced by ``_``.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
 4 missing files.
 """
@@ -31,57 +36,23 @@ from .potential import classify_regions, make_harmonic_system, trace_conjectured
 from .rootfinding import find_roots
 from .svgfig import compose_figure
 
-DEFAULTS = {
-    "precision": 512,
-    "n_list": [10, 25, 50, 100],
-    "box": [-1.0, 2.0, -1.5, 1.5],
-    "resolution": 400,
-    "step": 0.004,
-    "eps_cells": 3.0,
-    "null_samples": 20000,
-    "width": 720,
-}
+
+def _parse_list(value, sep, kind):
+    """A flag string split at ``sep``, or a config list, as a list of ``kind``."""
+    try:
+        return [kind(v) for v in (value.split(sep) if isinstance(value, str) else value)]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{value!r} is not a {sep!r}-separated list of {kind.__name__}") from None
 
 
-class RunContext:
-    """Holds the loaded config; explicit flags take precedence over it."""
-
-    def __init__(self, config_path=None):
-        self.config = {}
-        if config_path:
-            self.config = json.loads(Path(config_path).read_text())
-
-    def get(self, key, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in self.config:
-            return self.config[key]
-        if default is not None:
-            return default
-        return DEFAULTS.get(key)
+def _parse_box(value):
+    box = tuple(_parse_list(value, ":", float))
+    if len(box) != 4:
+        raise InvalidInputError(f"box must be xmin:xmax:ymin:ymax, got {value!r}")
+    return box
 
 
-def _parse_box(text):
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    parts = [float(v) for v in text.split(":")]
-    if len(parts) != 4:
-        raise InvalidInputError("box must be xmin:xmax:ymin:ymax")
-    return tuple(parts)
-
-
-def _parse_nlist(text):
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in text.split(",")]
-
-
-def _resolve_schedule(ctx, schedule_flag):
-    path = ctx.get("schedule", schedule_flag, default="")
+def _resolve_schedule(path):
     if not path:
         raise InvalidInputError("no schedule file given (flag --schedule or config)")
     if not Path(path).exists():
@@ -89,96 +60,105 @@ def _resolve_schedule(ctx, schedule_flag):
     return Path(path), serialize.read_schedule(path)
 
 
-def _outdir(ctx, out_flag):
-    out = Path(ctx.get("out", out_flag, default="out"))
+def _outdir(out):
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-@click.group()
+_schedule_option = click.option("--schedule", type=click.Path(), default=None)
+_out_option = click.option("--out", type=click.Path(), default="out")
+_data_option = click.option("--data", type=click.Path(), default=None,
+                            help="directory with emitted data files (default: --out)")
+_box_option = click.option("--box", type=click.UNPROCESSED, default="-1:2:-1.5:1.5",
+                           help="xmin:xmax:ymin:ymax")
+_NLIST_DEFAULT = "10,25,50,100"
+
+
+@click.group(context_settings={"show_default": True})
 @click.option("--config", type=click.Path(), default=None, help="JSON run-config file; flags override its values.")
 @click.pass_context
 def cli(ctx, config):
     """Hypergeometric polynomial zeros, limit curves, and clustering experiments."""
-    if config is not None and not Path(config).exists():
+    if config is None:
+        return
+    if not Path(config).exists():
         raise FileNotFoundError(f"config file {config} not found")
-    ctx.obj = RunContext(config)
+    try:
+        values = json.loads(Path(config).read_text())
+    except ValueError as exc:
+        raise InvalidInputError(f"config file {config} is not JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise InvalidInputError(f"config file {config} must hold a JSON object")
+    ctx.default_map = {name: values for name in cli.commands}
 
 
 @cli.command("poly")
-@click.option("--schedule", type=click.Path(), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_poly(ctx, schedule, n, out):
+@_schedule_option
+@click.option("--n", type=int, default=100)
+@_out_option
+def cmd_poly(schedule, n, out):
     """Build the exact polynomial and export its coefficients."""
-    spath, sched = _resolve_schedule(ctx, schedule)
-    n = ctx.get("n", n, default=100)
-    outdir = _outdir(ctx, out)
-    p = build_polynomial(sched, int(n))
+    spath, sched = _resolve_schedule(schedule)
+    outdir = _outdir(out)
+    p = build_polynomial(sched, n)
     serialize.write_polynomial(outdir / f"poly_n{n}.txt", p)
-    serialize.write_manifest(outdir, "poly", {"n": int(n), "schedule": str(spath)},
+    serialize.write_manifest(outdir, "poly", {"n": n, "schedule": str(spath)},
                              {"schedule": spath})
     click.echo(f"wrote {outdir / f'poly_n{n}.txt'} (degree {p.degree})")
 
 
 @cli.command("roots")
-@click.option("--schedule", type=click.Path(), default=None)
-@click.option("--n", type=int, default=None, help="single n (overrides --n-list)")
-@click.option("--n-list", default=None, help="comma-separated n ladder")
-@click.option("--precision", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_roots(ctx, schedule, n, n_list, precision, out):
+@_schedule_option
+@click.option("--n-list", "--n", "n_list", type=click.UNPROCESSED, default=_NLIST_DEFAULT,
+              help="comma-separated n ladder; --n is an alias")
+@click.option("--precision", type=int, default=512)
+@_out_option
+def cmd_roots(schedule, n_list, precision, out):
     """Compute certified roots for each n on the ladder."""
-    spath, sched = _resolve_schedule(ctx, schedule)
-    ns = [int(n)] if n is not None else _parse_nlist(ctx.get("n_list", _parse_nlist(n_list)))
-    prec = int(ctx.get("precision", precision))
-    outdir = _outdir(ctx, out)
+    spath, sched = _resolve_schedule(schedule)
+    ns = _parse_list(n_list, ",", int)
+    outdir = _outdir(out)
     for nn in ns:
         p = build_polynomial(sched, nn)
-        m = find_roots(p, prec)
+        m = find_roots(p, precision)
         serialize.write_roots(outdir / f"roots_n{nn}.txt", m, sched)
         click.echo(f"n={nn}: {m.n} roots at {m.precision_bits} bits, "
                    f"max residual {float(max(m.residual_bounds)):.3e}")
     serialize.write_manifest(outdir, "roots",
-                             {"n_list": ns, "precision": prec, "schedule": str(spath)},
+                             {"n_list": ns, "precision": precision, "schedule": str(spath)},
                              {"schedule": spath})
 
 
 @cli.command("curve")
-@click.option("--schedule", type=click.Path(), default=None)
-@click.option("--precision", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_curve(ctx, schedule, precision, out):
+@_schedule_option
+@click.option("--precision", type=int, default=128)
+@_out_option
+def cmd_curve(schedule, precision, out):
     """Export the limit curve A(z, w) and its branch points."""
     from .algcurve import branch_points, build_curve
 
-    spath, sched = _resolve_schedule(ctx, schedule)
-    prec = int(ctx.get("precision", precision, default=128))
-    outdir = _outdir(ctx, out)
+    spath, sched = _resolve_schedule(schedule)
+    outdir = _outdir(out)
     curve = build_curve(sched)
     serialize.write_curve(outdir / "curve.txt", curve)
-    bps = branch_points(curve, sched, min(prec, 256))
-    serialize.write_branch_points(outdir / "branch_points.txt", bps, min(prec, 256))
-    serialize.write_manifest(outdir, "curve", {"precision": prec, "schedule": str(spath)},
+    bps = branch_points(curve, sched, min(precision, 256))
+    serialize.write_branch_points(outdir / "branch_points.txt", bps, min(precision, 256))
+    serialize.write_manifest(outdir, "curve", {"precision": precision, "schedule": str(spath)},
                              {"schedule": spath})
     click.echo(f"wrote curve.txt and branch_points.txt ({len(bps.points)} branch points)")
 
 
 @cli.command("levels")
-@click.option("--schedule", type=click.Path(), default=None)
+@_schedule_option
 @click.option("--pair", default=None, help="branch pair i,j (default: loops 1,i for all i)")
 @click.option("--seed", default=None, help="seed point re,im (with --pair)")
-@click.option("--step", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_levels(ctx, schedule, pair, seed, step, out):
+@click.option("--step", type=float, default=0.004)
+@_out_option
+def cmd_levels(schedule, pair, seed, step, out):
     """Trace level curves (default: the conjectured loops through the branch points)."""
-    spath, sched = _resolve_schedule(ctx, schedule)
-    step = float(ctx.get("step", step))
-    outdir = _outdir(ctx, out)
+    spath, sched = _resolve_schedule(schedule)
+    outdir = _outdir(out)
     sys_ = make_harmonic_system(sched)
     written = []
     if pair is not None:
@@ -203,23 +183,21 @@ def cmd_levels(ctx, schedule, pair, seed, step, out):
 
 
 @cli.command("regions")
-@click.option("--schedule", type=click.Path(), default=None)
-@click.option("--box", default=None, help="xmin:xmax:ymin:ymax")
-@click.option("--resolution", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_regions(ctx, schedule, box, resolution, out):
+@_schedule_option
+@_box_option
+@click.option("--resolution", type=int, default=400)
+@_out_option
+def cmd_regions(schedule, box, resolution, out):
     """Classify the grid by argmax branch and extract the singular set K."""
-    spath, sched = _resolve_schedule(ctx, schedule)
-    box = _parse_box(ctx.get("box", _parse_box(box)))
-    res = int(ctx.get("resolution", resolution))
-    outdir = _outdir(ctx, out)
+    spath, sched = _resolve_schedule(schedule)
+    box = _parse_box(box)
+    outdir = _outdir(out)
     sys_ = make_harmonic_system(sched)
-    grid = classify_regions(sys_, box, res)
+    grid = classify_regions(sys_, box, resolution)
     serialize.write_region_grid(outdir / "regions.txt", grid)
     serialize.write_k_cells(outdir / "k_cells.txt", grid)
     serialize.write_manifest(outdir, "regions",
-                             {"box": list(box), "resolution": res, "schedule": str(spath)},
+                             {"box": list(box), "resolution": resolution, "schedule": str(spath)},
                              {"schedule": spath})
     click.echo(f"labels {grid.labels_present()}, {int(grid.kmask.sum())} K cells")
 
@@ -235,23 +213,21 @@ def _load_measures(outdir, ns):
 
 
 @cli.command("verify")
-@click.option("--schedule", type=click.Path(), default=None)
-@click.option("--n-list", default=None)
-@click.option("--data", type=click.Path(), default=None,
-              help="directory with roots/levels/regions outputs (default: --out)")
-@click.option("--experiments", "experiments_", default="distance,convergence,kscore")
-@click.option("--test-point", "test_points", multiple=True,
+@_schedule_option
+@click.option("--n-list", type=click.UNPROCESSED, default=_NLIST_DEFAULT, help="comma-separated n ladder")
+@_data_option
+@click.option("--experiments", default="distance,convergence,kscore")
+@click.option("--test-point", multiple=True,
               help="convergence test point re,im (side labeled by winding number)")
-@click.option("--eps-cells", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_verify(ctx, schedule, n_list, data, experiments_, test_points, eps_cells, out):
+@click.option("--eps-cells", type=float, default=3.0)
+@_out_option
+def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     """Run the clustering/convergence experiment reports from emitted files."""
-    spath, sched = _resolve_schedule(ctx, schedule)
-    ns = sorted(_parse_nlist(ctx.get("n_list", _parse_nlist(n_list))))
-    outdir = _outdir(ctx, out)
-    datadir = Path(ctx.get("data", data, default=str(outdir)))
-    wanted = [e.strip() for e in experiments_.split(",") if e.strip()]
+    spath, sched = _resolve_schedule(schedule)
+    ns = sorted(_parse_list(n_list, ",", int))
+    outdir = _outdir(out)
+    datadir = Path(data) if data is not None else outdir
+    wanted = [e.strip() for e in experiments.split(",") if e.strip()]
     shash = serialize.schedule_hash(sched)
     provenance = {"schedule": shash, "n_list": ns, "data_dir": str(datadir)}
     measures = _load_measures(datadir, ns)
@@ -290,14 +266,8 @@ def cmd_verify(ctx, schedule, n_list, data, experiments_, test_points, eps_cells
     if "convergence" in wanted:
         if not loop.closed:
             raise InvalidInputError("convergence labeling needs a closed loop")
-        pts = []
-        for tp in test_points:
-            re_s, im_s = tp.split(",")
-            z = complex(float(re_s), float(im_s))
-            pts.append((z, label_side(loop, z)))
-        if not pts:
-            pts = [(2.0 + 0j, label_side(loop, 2.0 + 0j)),
-                   (1.1 + 0j, label_side(loop, 1.1 + 0j))]
+        zs = [complex(*map(float, tp.split(","))) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
+        pts = [(z, label_side(loop, z)) for z in zs]
         try:
             report = cauchy_convergence(sched, ns, pts, measures=measures)
         except InvalidInputError as exc:
@@ -317,9 +287,7 @@ def cmd_verify(ctx, schedule, n_list, data, experiments_, test_points, eps_cells
             raise FileNotFoundError(f"{regions_path} not found; run the regions command first")
         grid = serialize.read_region_grid(regions_path)
         inputs["regions"] = regions_path
-        eps = float(ctx.get("eps_cells", eps_cells)) * grid.cell_diagonal
-        score = k_set_score(measures[max(ns)], grid, eps,
-                                  null_samples=int(ctx.get("null_samples", None)))
+        score = k_set_score(measures[max(ns)], grid, eps_cells * grid.cell_diagonal)
         payload = {"provenance": provenance, "n": max(ns), **score.summary()}
         serialize.write_report(outdir / "report_kscore.json", payload)
         click.echo(f"kscore: fraction {score.fraction_on_k:.3f} "
@@ -331,32 +299,24 @@ def cmd_verify(ctx, schedule, n_list, data, experiments_, test_points, eps_cells
 
 
 @cli.command("plot")
-@click.option("--data", type=click.Path(), default=None,
-              help="directory with emitted data files (default: --out)")
-@click.option("--n", type=int, default=None, help="which roots file to scatter")
-@click.option("--box", default=None)
+@_data_option
+@click.option("--n", type=int, default=0, help="which roots file to scatter (0: the last by name)")
+@_box_option
 @click.option("--with-regions", is_flag=True, default=False)
-@click.option("--width", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_obj
-def cmd_plot(ctx, data, n, box, with_regions, width, out):
+@click.option("--width", type=int, default=720)
+@_out_option
+def cmd_plot(data, n, box, with_regions, width, out):
     """Compose the SVG figure from previously emitted files."""
-    outdir = _outdir(ctx, out)
-    datadir = Path(ctx.get("data", data, default=str(outdir)))
-    box = _parse_box(ctx.get("box", _parse_box(box)))
-    width = int(ctx.get("width", width))
-    roots = np.array([])
-    n = ctx.get("n", n, default=0)
-    roots_files = sorted(datadir.glob("roots_n*.txt"))
-    chosen = None
+    outdir = _outdir(out)
+    datadir = Path(data) if data is not None else outdir
+    box = _parse_box(box)
     if n:
         chosen = datadir / f"roots_n{n}.txt"
         if not chosen.exists():
             raise FileNotFoundError(f"{chosen} not found")
-    elif roots_files:
-        chosen = roots_files[-1]
-    if chosen is not None:
-        roots = serialize.read_roots(chosen).as_complex_array()
+    else:
+        chosen = max(datadir.glob("roots_n*.txt"), default=None)
+    roots = serialize.read_roots(chosen).as_complex_array() if chosen else np.array([])
     curves = [serialize.read_level_curve(f) for f in sorted(datadir.glob("level_*.csv"))]
     bp_file = datadir / "branch_points.txt"
     bpts = serialize.read_point_list(bp_file) if bp_file.exists() else np.array([])

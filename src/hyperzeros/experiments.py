@@ -23,6 +23,8 @@ from .rootfinding import (
     find_roots,
 )
 
+NULL_SAMPLES = 20000
+
 
 def points_to_polyline_distance(points: np.ndarray, polyline: np.ndarray,
                                 closed: bool = True) -> np.ndarray:
@@ -244,20 +246,20 @@ class ClusterScore:
 
 
 def k_set_score(measure: RootCountingMeasure, grid: RegionGrid,
-                      epsilon: float = None, null_samples: int = 20000,
-                      seed: int = 20240901) -> ClusterScore:
+                      epsilon: float = None, seed: int = 20240901) -> ClusterScore:
     """Fraction of zeros within epsilon of the discrete set K.
 
     epsilon defaults to 3 cell diagonals (K is one cell thick; sub-cell
     distances are meaningless).  Also reports the fraction near K
     restricted to the approximate domain D (non-H_1 regions plus their
-    boundary), and a deterministic uniform Monte-Carlo null over the box.
+    boundary), and a deterministic uniform Monte-Carlo null of NULL_SAMPLES
+    points over the box.
     """
     if epsilon is None:
         epsilon = 3.0 * grid.cell_diagonal
     kpts = grid.k_points()
     if len(kpts) == 0:
-        return ClusterScore(epsilon, 0.0, 0.0, 0.0, null_samples, seed)
+        return ClusterScore(epsilon, 0.0, 0.0, 0.0, NULL_SAMPLES, seed)
     roots = measure.as_complex_array()
     xmin, xmax, ymin, ymax = grid.box
     inside_box = (
@@ -280,17 +282,16 @@ def k_set_score(measure: RootCountingMeasure, grid: RegionGrid,
     else:
         frac_d = 0.0
     rng = np.random.default_rng(seed)
-    U = rng.uniform(xmin, xmax, null_samples) + 1j * rng.uniform(ymin, ymax, null_samples)
+    U = rng.uniform(xmin, xmax, NULL_SAMPLES) + 1j * rng.uniform(ymin, ymax, NULL_SAMPLES)
     dnull = _min_dist_chunked(U, kpts)
     null_frac = float(np.mean(dnull <= epsilon))
-    return ClusterScore(float(epsilon), frac, frac_d, null_frac, null_samples, seed)
+    return ClusterScore(float(epsilon), frac, frac_d, null_frac, NULL_SAMPLES, seed)
 
 
-def _min_dist_chunked(points: np.ndarray, targets: np.ndarray,
-                      chunk: int = 512) -> np.ndarray:
-    """Min |point - target| per point, chunked to bound memory."""
+def _min_dist_chunked(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Min |point - target| per point, 512 points at a time to bound memory."""
     out = np.empty(len(points))
-    for k in range(0, len(points), chunk):
-        block = points[k:k + chunk]
-        out[k:k + chunk] = np.min(np.abs(block[:, None] - targets[None, :]), axis=1)
+    for k in range(0, len(points), 512):
+        block = points[k:k + 512]
+        out[k:k + 512] = np.min(np.abs(block[:, None] - targets[None, :]), axis=1)
     return out

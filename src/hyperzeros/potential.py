@@ -36,6 +36,8 @@ from .errors import (
 from .hyppoly import ParameterSchedule
 
 TRACE_RESIDUAL_TOL = 1e-12
+QUAD_TOL = 1e-12
+MIN_BRANCH_SEPARATION = 1e-9
 SINGULAR_GUARD = 1e-13
 
 
@@ -187,10 +189,9 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
 class _BranchTracker:
     """Follows branches of A(z, w) = 0 along points by nearest continuation."""
 
-    def __init__(self, curve: BivariateCurve, min_separation=1e-9):
+    def __init__(self, curve: BivariateCurve):
         self.m = [complex(c) for c in curve.m_coeffs]
         self.n = [complex(c) for c in curve.n_coeffs]
-        self.min_separation = min_separation
 
     def all_branches(self, z: complex) -> np.ndarray:
         coeffs = w_coefficients(self.m, self.n, z)
@@ -222,7 +223,7 @@ class _BranchTracker:
         # the smallest distance from w to a branch is 0 (its own); the next is
         # the separation
         sep = np.sort(np.abs(w[:, None] - ws), axis=1)[:, 1]
-        if sep.min() < self.min_separation:
+        if sep.min() < MIN_BRANCH_SEPARATION:
             raise BranchCollisionError(
                 f"branches collide near z = {z} (separation {sep.min():.2e}); "
                 "reroute the path",
@@ -248,7 +249,7 @@ _QK15 = np.array([
 _GK_X, _K15_W, _G7_W = np.concatenate([_QK15 * (-1, 1, 1), _QK15[-2::-1], [(1, 0, 0)]]).T
 
 
-def _integrate(tracker, a: complex, b: complex, ws, tol: float, reanchor=None):
+def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
     """Integrals of tracked branches along the segment [a, b]; returns
     (integrals, ws_end).
 
@@ -256,8 +257,8 @@ def _integrate(tracker, a: complex, b: complex, ws, tol: float, reanchor=None):
     are tracked together, one ``all_branches`` call per node.  Each step is
     a Gauss-Kronrod 7/15 pass whose error estimate |K15 - G7| reuses the
     step's own nodes.  A step is halved when that estimate exceeds
-    tol * max(1, |b - a|) or a branch moves more than a quarter of its
-    separation, and doubled after an estimate below tol / 100.
+    QUAD_TOL * max(1, |b - a|) or a branch moves more than a quarter of its
+    separation, and doubled after an estimate below QUAD_TOL / 100.
     ``reanchor(s)`` may return closed-form branch values to take instead of
     the tracked ones (near branch points, where nearest-value matching is
     ill-conditioned), or None to keep tracking.  A step below 1e-12 of the
@@ -272,7 +273,7 @@ def _integrate(tracker, a: complex, b: complex, ws, tol: float, reanchor=None):
 
     ws = np.asarray(ws, dtype=complex)
     total = np.zeros_like(ws)
-    limit = tol * max(1.0, abs(b - a))
+    limit = QUAD_TOL * max(1.0, abs(b - a))
     t = 0.0
     dt = 1.0
     while t < 1.0 - 1e-15:
@@ -303,13 +304,12 @@ def _integrate(tracker, a: complex, b: complex, ws, tol: float, reanchor=None):
         total += kronrod
         ws = w
         t += dt
-        if err < tol / 100:
+        if err < QUAD_TOL / 100:
             dt *= 2
     return total, ws
 
 
-def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None,
-                                  tol: float = 1e-12) -> float:
+def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None) -> float:
     """H_i(z) = Re int_p^z f_i(s) ds by adaptive quadrature with branch tracking.
 
     The path (polyline from the basepoint to z, default the straight
@@ -336,7 +336,7 @@ def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None,
         reanchor = None
     total = 0j
     for a, b in zip(pts[:-1], pts[1:]):
-        seg, w = _integrate(tracker, a, b, w, tol, reanchor)
+        seg, w = _integrate(tracker, a, b, w, reanchor)
         total += seg[0]
     return float(total.real)
 
@@ -414,9 +414,7 @@ class _IntegralLevelFunction:
         if z == self.anchor:
             f, wi, wj = self.f_anchor, self.wi, self.wj
         else:
-            (ii, ij), (wi, wj) = _integrate(
-                self.tracker, self.anchor, z, (self.wi, self.wj), 1e-12
-            )
+            (ii, ij), (wi, wj) = _integrate(self.tracker, self.anchor, z, (self.wi, self.wj))
             f = float(self.f_anchor + (ii - ij).real)
         self._last = (z, f, wi, wj)
         return f
@@ -461,10 +459,12 @@ def _crosses_cut(a: complex, b: complex) -> bool:
     return x < 0
 
 
-def _newton_correct(fun, z, tol, max_iter=40):
-    for _ in range(max_iter):
+def _newton_correct(fun, z):
+    """Newton steps onto fun = 0; (z, f), with z None if |f| stays above
+    TRACE_RESIDUAL_TOL after 40 steps or the gradient vanishes."""
+    for _ in range(40):
         f = fun.value(z)
-        if abs(f) < tol:
+        if abs(f) < TRACE_RESIDUAL_TOL:
             return z, f
         g = fun.gradient(z)
         g2 = abs(g) ** 2
@@ -472,13 +472,12 @@ def _newton_correct(fun, z, tol, max_iter=40):
             return None, f
         z = z - f * g / g2
     f = fun.value(z)
-    if abs(f) < tol:
+    if abs(f) < TRACE_RESIDUAL_TOL:
         return z, f
     return None, f
 
 
 def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
-                      residual_tol: float = TRACE_RESIDUAL_TOL,
                       max_points: int = 50000) -> LevelCurve:
     """Predictor-corrector trace of the implicit curve H~_i - H~_j = 0.
 
@@ -486,7 +485,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     marches both directions, declares the curve closed on returning within
     step/2 of the start, stops at critical points (reporting the saddle and
     its four outgoing directions) and at the Arg-cut barrier.  Every emitted
-    point has implicit residual below ``residual_tol``.
+    point has implicit residual below ``TRACE_RESIDUAL_TOL``.
 
     In integral mode the curve traced is the level set of H_i - H_j through
     the seed (offsets are a closed-form construct).
@@ -500,7 +499,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
         fun = _IntegralLevelFunction(sys, pair, seed)
     known_criticals = sys.critical_points(pair)
 
-    z0, f0 = _newton_correct(fun, complex(seed), residual_tol)
+    z0, f0 = _newton_correct(fun, complex(seed))
     if z0 is None:
         raise InvalidInputError(
             f"seed {seed} could not be corrected onto the level curve "
@@ -548,7 +547,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                     hit_cut = True
                     break
                 try:
-                    zc, _f = _newton_correct(fun, zp, residual_tol)
+                    zc, _f = _newton_correct(fun, zp)
                 except BranchCollisionError:
                     # the curve runs into a branch collision (integral mode);
                     # shorten, then give up on this direction
@@ -630,8 +629,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     )
 
 
-def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction,
-                      t_range=(1e-9, 64.0)) -> complex:
+def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction) -> complex:
     """A point on the level set of the pair difference along origin + t*direction.
 
     Bisects the sign change of F along the ray; origin is typically a
@@ -643,7 +641,7 @@ def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction,
     d = complex(direction)
     d /= abs(d)
     o = complex(origin)
-    lo, hi = t_range
+    lo, hi = 1e-9, 64.0
     flo = fun.value(o + lo * d)
     fhi = fun.value(o + hi * d)
     while flo * fhi > 0 and hi < 1e9:

@@ -321,34 +321,30 @@ def _certificates(c, z):
 def _solve_nonzero(c, precision_bits, max_precision_bits):
     """Aberth with precision doubling for a coefficient list with c[0] != 0.
 
-    Returns the unsorted (roots, residuals, forwards, precision_used, trace),
-    the roots rounded to precision_used bits and the bounds evaluated there.
+    The seed phase runs once; each doubling reruns only the refine phase,
+    starting from the previous refine's iterates.  Returns the unsorted
+    (roots, residuals, forwards, precision_used, trace), the roots rounded
+    to precision_used bits and the bounds evaluated there.
     """
     degree = len(c) - 1
     with mp.workprec(64):
         spread = _coeff_spread_bits([to_big_complex(ck, 64) for ck in c])
     wp1 = max(96, spread + 64)
     trace = []
+    with mp.workprec(wp1):
+        c1 = [to_big_complex(ck, wp1) for ck in c]
+        seeds = _newton_polygon_seeds(c1, degree)
+        z, sw1, left1 = _aberth_phase(c1, seeds, wp1, spread, cap=60)
+        trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
+        # seeding failed badly; fall back to companion eigenvalues
+        seeds = _companion_seeds(c1, degree) if left1 > degree // 2 else None
+        if seeds is not None:
+            trace.append({"phase": "companion-reseed", "working_bits": 53})
+            z, sw1, left1 = _aberth_phase(c1, seeds, wp1, spread, cap=60)
+            trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
     prec = precision_bits
-    z = None
-    tried_companion = False
     while True:
         wp2 = prec + spread + 64
-        with mp.workprec(wp1):
-            c1 = [to_big_complex(ck, wp1) for ck in c]
-            if z is None:
-                z = _newton_polygon_seeds(c1, degree)
-            z, sw1, left1 = _aberth_phase(c1, z, wp1, spread, cap=60)
-        trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
-        if left1 > degree // 2 and not tried_companion:
-            # seeding failed badly; fall back to companion eigenvalues
-            tried_companion = True
-            with mp.workprec(wp1):
-                seeds = _companion_seeds(c1, degree)
-            if seeds is not None:
-                z = seeds
-                trace.append({"phase": "companion-reseed", "working_bits": 53})
-                continue
         with mp.workprec(wp2):
             c2 = [to_big_complex(ck, wp2) for ck in c]
             z, sw2, left2 = _aberth_phase(c2, z, wp2, spread, cap=120 + 2 * degree)
@@ -356,19 +352,12 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
             residuals, forwards = _certificates(c2, zr)
             res_thr = _residual_threshold(prec)
             res_ok = all(r < res_thr for r in residuals)
+            # a Newton-style forward bound degrades like noise^(1/m) at an
+            # m-fold root; clustered roots are certified by residual alone
+            # and reported in the measure's cluster diagnostic
             fwd_thr = _forward_threshold(prec)
-            cluster_rad = _cluster_radius(prec)
-
-            def _fwd_passes(i):
-                # a Newton-style forward bound degrades like noise^(1/m) at an
-                # m-fold root; clustered roots are certified by residual alone
-                # and reported in the measure's cluster diagnostic
-                if forwards[i] < fwd_thr * (1 + abs(zr[i])):
-                    return True
-                gap = min(abs(zr[i] - zr[j]) for j in range(degree) if j != i) if degree > 1 else mp.inf
-                return gap < cluster_rad * (1 + abs(zr[i]))
-
-            fwd_ok = all(_fwd_passes(i) for i in range(degree))
+            loose = [i for i in range(degree) if not forwards[i] < fwd_thr * (1 + abs(zr[i]))]
+            fwd_ok = not loose or set(loose) <= {i for g in _find_clusters(zr, prec) for i in g}
         trace.append(
             {"phase": "refine", "working_bits": wp2, "sweeps": sw2, "active_left": left2,
              "residuals_ok": res_ok, "forward_ok": fwd_ok}

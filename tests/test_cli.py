@@ -133,3 +133,60 @@ class TestConfigPrecedence:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    @pytest.mark.parametrize("command", ["poly", "roots", "curve", "levels", "regions",
+                                         "verify", "plot"])
+    def test_subcommand_help_exits_zero(self, command):
+        assert run(command, "--help") == 0
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_config_exit_two(self, sched_file, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert run("--config", cfg, "poly", "--schedule", sched_file,
+                   "--out", tmp_path / "o") == 2
+
+    def test_list_valued_config_matches_flags(self, sched_file, tmp_path):
+        flags, config = tmp_path / "flags", tmp_path / "config"
+        assert run("roots", "--schedule", sched_file, "--n-list", "4,6",
+                   "--precision", 128, "--out", flags) == 0
+        assert run("regions", "--schedule", sched_file, "--box", "-1.2:2.1:-1.4:1.4",
+                   "--resolution", 40, "--out", flags) == 0
+        assert run("plot", "--box", "-1.2:2.1:-1.4:1.4", "--out", flags) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "schedule": str(sched_file), "n_list": [4, 6], "precision": 128,
+            "box": [-1.2, 2.1, -1.4, 1.4], "resolution": 40, "out": str(config),
+        }))
+        for command in ("roots", "regions", "plot"):
+            assert run("--config", cfg, command) == 0
+        names = sorted(p.name for p in flags.iterdir())
+        assert names == sorted(p.name for p in config.iterdir())
+        assert "figure.svg" in names and "roots_n6.txt" in names
+        for name in names:
+            assert (flags / name).read_bytes() == (config / name).read_bytes(), name
+
+    def test_flag_overrides_list_valued_config(self, sched_file, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "schedule": str(sched_file), "n_list": [4, 6], "precision": 128,
+            "box": [-1.0, 2.0, -1.5, 1.5], "resolution": 20, "out": str(out),
+        }))
+        assert run("--config", cfg, "roots", "--n-list", "5") == 0
+        assert sorted(p.name for p in out.glob("roots_n*.txt")) == ["roots_n5.txt"]
+        assert run("--config", cfg, "regions", "--box", "-2:3:-2:2") == 0
+        manifest = json.loads((out / "manifest_regions.json").read_text())
+        assert manifest["config"]["box"] == [-2.0, 3.0, -2.0, 2.0]
+
+    def test_roots_follows_n_list_not_n(self, sched_file, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "schedule": str(sched_file), "n": 3, "n_list": [4, 6], "precision": 128,
+            "out": str(out),
+        }))
+        assert run("--config", cfg, "roots") == 0
+        assert sorted(p.name for p in out.glob("roots_n*.txt")) == ["roots_n4.txt", "roots_n6.txt"]
+        manifest = json.loads((out / "manifest_roots.json").read_text())
+        assert manifest["config"]["n_list"] == [4, 6]

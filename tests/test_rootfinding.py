@@ -230,6 +230,17 @@ class TestKernel:
         assert _trace_summary(m.trace) == expected
         assert all(t["active_left"] == 0 for t in m.trace)
 
+    def test_doubling_refines_from_refined_iterates(self):
+        # alpha = 2 + i, n = 40 misses the forward bound at 128 bits; after
+        # the doubling the refine restarts from its own iterates, so the
+        # seed phase runs once
+        m = find_roots(build_polynomial(ParameterSchedule.loop_2f1(CR(2, 1)), 40), 128)
+        assert _trace_summary(m.trace) == [
+            ("seed", 102, 25), ("refine", 230, 25), ("double-precision", None, None),
+            ("refine", 358, 2),
+        ]
+        assert m.precision_bits == 256
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=9)
