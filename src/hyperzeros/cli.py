@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 import click
+import mpmath as mp
 import numpy as np
 
 from . import serialize
@@ -45,11 +46,12 @@ def _parse_list(value, sep, kind):
         raise InvalidInputError(f"{value!r} is not a {sep!r}-separated list of {kind.__name__}") from None
 
 
-def _parse_box(value):
-    box = tuple(_parse_list(value, ":", float))
-    if len(box) != 4:
-        raise InvalidInputError(f"box must be xmin:xmax:ymin:ymax, got {value!r}")
-    return box
+def _parse_fields(value, sep, count, kind):
+    fields = tuple(_parse_list(value, sep, kind))
+    if len(fields) != count:
+        raise InvalidInputError(f"expected {count} {sep!r}-separated {kind.__name__} values, "
+                                f"got {value!r}")
+    return fields
 
 
 def _resolve_schedule(path):
@@ -124,7 +126,7 @@ def cmd_roots(schedule, n_list, precision, out):
         m = find_roots(p, precision)
         serialize.write_roots(outdir / f"roots_n{nn}.txt", m, sched)
         click.echo(f"n={nn}: {m.n} roots at {m.precision_bits} bits, "
-                   f"max residual {float(max(m.residual_bounds)):.3e}")
+                   f"max residual {mp.nstr(max(m.residual_bounds), 3)}")
     serialize.write_manifest(outdir, "roots",
                              {"n_list": ns, "precision": precision, "schedule": str(spath)},
                              {"schedule": spath})
@@ -162,11 +164,11 @@ def cmd_levels(schedule, pair, seed, step, out):
     sys_ = make_harmonic_system(sched)
     written = []
     if pair is not None:
-        i, j = (int(v) for v in pair.split(","))
+        i, j = _parse_fields(pair, ",", 2, int)
         if seed is None:
             raise InvalidInputError("--pair needs an explicit --seed re,im")
-        re_s, im_s = seed.split(",")
-        curve = trace_level_curve(sys_, (i, j), complex(float(re_s), float(im_s)), step=step)
+        start = complex(*_parse_fields(seed, ",", 2, float))
+        curve = trace_level_curve(sys_, (i, j), start, step=step)
         name = f"level_{i}_{j}.csv"
         serialize.write_level_curve(outdir / name, curve)
         written.append(name)
@@ -190,7 +192,7 @@ def cmd_levels(schedule, pair, seed, step, out):
 def cmd_regions(schedule, box, resolution, out):
     """Classify the grid by argmax branch and extract the singular set K."""
     spath, sched = _resolve_schedule(schedule)
-    box = _parse_box(box)
+    box = _parse_fields(box, ":", 4, float)
     outdir = _outdir(out)
     sys_ = make_harmonic_system(sched)
     grid = classify_regions(sys_, box, resolution)
@@ -228,6 +230,7 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
     wanted = [e.strip() for e in experiments.split(",") if e.strip()]
+    zs = [complex(*_parse_fields(tp, ",", 2, float)) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
     shash = serialize.schedule_hash(sched)
     provenance = {"schedule": shash, "n_list": ns, "data_dir": str(datadir)}
     measures = _load_measures(datadir, ns)
@@ -266,7 +269,6 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     if "convergence" in wanted:
         if not loop.closed:
             raise InvalidInputError("convergence labeling needs a closed loop")
-        zs = [complex(*map(float, tp.split(","))) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
         pts = [(z, label_side(loop, z)) for z in zs]
         try:
             report = cauchy_convergence(sched, ns, pts, measures=measures)
@@ -309,7 +311,7 @@ def cmd_plot(data, n, box, with_regions, width, out):
     """Compose the SVG figure from previously emitted files."""
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
-    box = _parse_box(box)
+    box = _parse_fields(box, ":", 4, float)
     if n:
         chosen = datadir / f"roots_n{n}.txt"
         if not chosen.exists():

@@ -4,14 +4,19 @@ All zeros are found simultaneously by Ehrlich-Aberth iteration seeded on
 Newton-polygon circles (radii from the coefficient-based root-magnitude
 bound), with companion-matrix eigenvalues as a deterministic fallback for
 hard seeds.  Coefficients of this polynomial family span hundreds of orders
-of magnitude, so the working precision carries the coefficient spread on
-top of the requested precision.  The sweeps run in fixed point on Gaussian
-integers (CPython ints) after a block exponent scales the coefficients, and
-stop at the noise floor of a floating-point evaluation at the working
-precision.  Every root is then certified a posteriori in mpmath by a
-running-error Horner bound, so a fault in the sweeps can cost iterations
-or a precision doubling but never a false certificate.  If certification
-fails the solve is retried at doubled precision, up to a hard cap.
+of magnitude, so the target working precision carries the coefficient
+spread on top of the requested precision.  The iteration climbs a ladder
+of working precisions towards that target, each rung starting from the
+previous rung's iterates, so the global convergence happens at low
+precision (the adaptive-precision Aberth of MPSolve; Bini & Robol,
+J. Comput. Appl. Math. 272, 2014).  The sweeps run in fixed point on
+Gaussian integers (CPython ints) after a block exponent scales the
+coefficients, and stop at the noise floor of a floating-point evaluation
+at the rung's precision.  Every root is then certified a posteriori in
+mpmath by a running-error Horner bound at the target rung, so a fault in
+the sweeps can cost iterations or a precision doubling but never a false
+certificate.  If certification fails the target doubles and the ladder
+continues, up to a hard cap.
 
 The solver has one entry, ``solve_all_roots``, which takes a plain
 coefficient list (exact ComplexRationals or already-rounded mpcs) and
@@ -319,37 +324,53 @@ def _certificates(c, z):
 
 
 def _solve_nonzero(c, precision_bits, max_precision_bits):
-    """Aberth with precision doubling for a coefficient list with c[0] != 0.
+    """Aberth on a ladder of working precisions for a list with c[0] != 0.
 
-    The seed phase runs once; each doubling reruns only the refine phase,
-    starting from the previous refine's iterates.  Returns the unsorted
-    (roots, residuals, forwards, precision_used, trace), the roots rounded
-    to precision_used bits and the bounds evaluated there.
+    Rung 0 seeds on the Newton-polygon circles at max(96, spread + 64) bits
+    (with the companion fallback); every later rung reruns the same sweeps
+    from the previous rung's iterates at twice the precision, or at the
+    target prec + spread + 64 once that is within a factor of 3.  The
+    target rung always runs, below rung 0 if a low ``prec`` puts it there.
+    The global convergence thus happens on the cheap low rungs and the
+    target rung only polishes.  The certificates run once, at the target
+    rung; a failure doubles ``prec`` and continues the ladder from the last
+    iterates.  Returns the unsorted (roots, residuals, forwards,
+    precision_used, trace), the roots rounded to precision_used bits and
+    the bounds evaluated there.
     """
     degree = len(c) - 1
     with mp.workprec(64):
         spread = _coeff_spread_bits([to_big_complex(ck, 64) for ck in c])
-    wp1 = max(96, spread + 64)
+    wp = max(96, spread + 64)
     trace = []
-    with mp.workprec(wp1):
-        c1 = [to_big_complex(ck, wp1) for ck in c]
-        seeds = _newton_polygon_seeds(c1, degree)
-        z, sw1, left1 = _aberth_phase(c1, seeds, wp1, spread, cap=60)
-        trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
+    with mp.workprec(wp):
+        cw = [to_big_complex(ck, wp) for ck in c]
+        seeds = _newton_polygon_seeds(cw, degree)
+        z, sweeps, left = _aberth_phase(cw, seeds, wp, spread, cap=60)
+        trace.append({"phase": "seed", "working_bits": wp, "sweeps": sweeps, "active_left": left})
         # seeding failed badly; fall back to companion eigenvalues
-        seeds = _companion_seeds(c1, degree) if left1 > degree // 2 else None
+        seeds = _companion_seeds(cw, degree) if left > degree // 2 else None
         if seeds is not None:
             trace.append({"phase": "companion-reseed", "working_bits": 53})
-            z, sw1, left1 = _aberth_phase(c1, seeds, wp1, spread, cap=60)
-            trace.append({"phase": "seed", "working_bits": wp1, "sweeps": sw1, "active_left": left1})
+            z, sweeps, left = _aberth_phase(cw, seeds, wp, spread, cap=60)
+            trace.append({"phase": "seed", "working_bits": wp, "sweeps": sweeps, "active_left": left})
     prec = precision_bits
     while True:
-        wp2 = prec + spread + 64
-        with mp.workprec(wp2):
-            c2 = [to_big_complex(ck, wp2) for ck in c]
-            z, sw2, left2 = _aberth_phase(c2, z, wp2, spread, cap=120 + 2 * degree)
+        target = prec + spread + 64
+        while True:
+            # Aberth converges cubically near the roots, so from within a
+            # factor of 3 of the target one rung reaches it; the target rung
+            # runs even when the seed already works at or above it
+            wp = target if 3 * wp >= target else 2 * wp
+            with mp.workprec(wp):
+                cw = [to_big_complex(ck, wp) for ck in c]
+                z, sweeps, left = _aberth_phase(cw, z, wp, spread, cap=120 + 2 * degree)
+            trace.append({"phase": "rung", "working_bits": wp, "sweeps": sweeps, "active_left": left})
+            if wp == target:
+                break
+        with mp.workprec(wp):
             zr = [to_big_complex(zi, prec) for zi in z]
-            residuals, forwards = _certificates(c2, zr)
+            residuals, forwards = _certificates(cw, zr)
             res_thr = _residual_threshold(prec)
             res_ok = all(r < res_thr for r in residuals)
             # a Newton-style forward bound degrades like noise^(1/m) at an
@@ -358,16 +379,14 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
             fwd_thr = _forward_threshold(prec)
             loose = [i for i in range(degree) if not forwards[i] < fwd_thr * (1 + abs(zr[i]))]
             fwd_ok = not loose or set(loose) <= {i for g in _find_clusters(zr, prec) for i in g}
-        trace.append(
-            {"phase": "refine", "working_bits": wp2, "sweeps": sw2, "active_left": left2,
-             "residuals_ok": res_ok, "forward_ok": fwd_ok}
-        )
-        if left2 == 0 and res_ok and fwd_ok:
+        trace.append({"phase": "certify", "working_bits": wp, "residuals_ok": res_ok,
+                      "forward_ok": fwd_ok})
+        if left == 0 and res_ok and fwd_ok:
             return zr, residuals, forwards, prec, trace
         if prec >= max_precision_bits:
             raise NonConvergenceError(
                 f"root finding did not certify at {prec} bits "
-                f"(active={left2}, residuals_ok={res_ok}, forward_ok={fwd_ok})",
+                f"(active={left}, residuals_ok={res_ok}, forward_ok={fwd_ok})",
                 trace=trace,
             )
         prec = min(2 * prec, max_precision_bits)
@@ -419,10 +438,11 @@ class RootCountingMeasure:
     multiplicity; ``clusters`` lists index groups closer together than the
     cluster radius 2^(-precision_bits/8) (a diagnostic -- the atoms keep
     unit weight).  A forward bound of infinity means the bound is unknown.
-    ``trace`` holds the solver's per-phase records (phase, working bits,
-    sweeps, roots left active, certificate outcomes) when the measure comes
-    from ``find_roots``; it is empty for a measure read from a file and takes
-    no part in equality.
+    ``trace`` holds the solver's records when the measure comes from
+    ``find_roots``: one per precision rung (working bits, sweeps, roots left
+    active), one per certification (certificate outcomes) and one per
+    precision doubling.  It is empty for a measure read from a file and
+    takes no part in equality.
     """
 
     roots: tuple

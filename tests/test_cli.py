@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hyperzeros import serialize
@@ -106,6 +107,31 @@ class TestRootsAndVerify:
         code = run("levels", "--schedule", sched_file, "--pair", "1,2",
                    "--out", tmp_path / "o")
         assert code == 2
+
+    @pytest.mark.parametrize("pair, seed", [
+        ("1,x", "1.2,0"), ("1", "1.2,0"), ("1,2,3", "1.2,0"), ("1,2", "1.2,y"), ("1,2", "1.2"),
+    ])
+    def test_levels_malformed_pair_or_seed_exit_two(self, sched_file, tmp_path, pair, seed):
+        code = run("levels", "--schedule", sched_file, "--pair", pair, "--seed", seed,
+                   "--out", tmp_path / "o")
+        assert code == 2
+
+    @pytest.mark.parametrize("point", ["2,x", "2", "2,0,1"])
+    def test_verify_malformed_test_point_exit_two(self, sched_file, tmp_path, point):
+        code = run("verify", "--schedule", sched_file, "--n-list", "4,8",
+                   "--test-point", point, "--out", tmp_path / "o")
+        assert code == 2
+
+    def test_roots_prints_residual_below_float_range(self, tmp_path, capsys):
+        # FIG5 at 2048 bits has residuals near 2^-2060, below the smallest
+        # float64; the printed maximum must not read zero
+        spath = tmp_path / "fig5.json"
+        serialize.write_schedule(spath, ParameterSchedule.diagonal((CR(0, 1), CR(1, 2))))
+        assert run("roots", "--schedule", spath, "--n-list", 10, "--precision", 2048,
+                   "--out", tmp_path / "o") == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("n=10: 10 roots at 2048 bits, max residual ")
+        assert 0 < mp.mpf(line.rsplit(" ", 1)[1]) < mp.mpf(2) ** -512
 
     def test_verify_without_roots_exit_four(self, sched_file, tmp_path):
         code = run("verify", "--schedule", sched_file, "--n-list", "4,8",

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from hyperzeros.exact import ComplexRational, poly_from_roots
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.rootfinding import (
     _certificates,
+    _coeff_spread_bits,
     _cluster_radius,
     _find_clusters,
     cauchy_transform_at,
@@ -26,6 +28,7 @@ CR = ComplexRational
 F = Fraction
 
 SCHED = ParameterSchedule.loop_2f1(1)
+FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
 
 
 def poly_from(coeffs, n=None):
@@ -191,13 +194,25 @@ class TestKernel:
         # never reach their noise floor
         coeffs = [-_pow2(s)] + [CR(0)] * 9 + [_pow2(s)]
         roots, residuals, forwards, prec, trace = solve_all_roots(coeffs, 128)
-        assert _trace_summary(trace) == [("seed", 96, 6), ("refine", 192, 2)]
+        assert _trace_summary(trace) == [("seed", 96, 6), ("rung", 192, 2), ("certify", 192, None)]
         with mp.workprec(prec):
             assert all(abs(z ** 10 - 1) < mp.mpf(2) ** -120 for z in roots)
 
+    @pytest.mark.parametrize("prec, target", [(8, 73), (16, 81)])
+    def test_target_rung_runs_below_the_seed(self, prec, target):
+        # z^2 - 2 at prec bits: the 96-bit seed works above the target
+        # prec + spread + 64, yet the target rung still runs and certifies
+        roots, residuals, forwards, used, trace = solve_all_roots([CR(-2), CR(0), CR(1)], prec)
+        assert _trace_summary(trace) == [("seed", 96, 4), ("rung", target, 1),
+                                         ("certify", target, None)]
+        assert used == prec
+        with mp.workprec(64):
+            assert [float(z.real) for z in roots] == pytest.approx([-2 ** 0.5, 2 ** 0.5],
+                                                                   rel=2.0 ** (2 - prec))
+
     @pytest.mark.parametrize("s, expected", [
-        (40, [("seed", 400, 12), ("refine", 528, 2)]),
-        (-40, [("seed", 369, 12), ("refine", 497, 2)]),
+        (40, [("seed", 400, 12), ("rung", 528, 2), ("certify", 528, None)]),
+        (-40, [("seed", 369, 12), ("rung", 497, 2), ("certify", 497, None)]),
     ])
     def test_roots_far_from_the_unit_circle(self, s, expected):
         # roots -k 2^s, k = 1..8: a 305- to 336-bit coefficient spread
@@ -222,24 +237,58 @@ class TestKernel:
                 assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
 
     @pytest.mark.parametrize("n, expected", [
-        (20, [("seed", 96, 21), ("refine", 594, 4)]),
-        (40, [("seed", 102, 27), ("refine", 614, 17)]),
+        (20, [("seed", 96, 21), ("rung", 192, 3), ("rung", 384, 2), ("rung", 594, 2),
+              ("certify", 594, None)]),
+        (40, [("seed", 102, 27), ("rung", 204, 15), ("rung", 408, 3), ("rung", 614, 2),
+              ("certify", 614, None)]),
     ])
     def test_find_roots_keeps_schedule(self, n, expected):
         m = find_roots(build_polynomial(SCHED, n), 512)
         assert _trace_summary(m.trace) == expected
-        assert all(t["active_left"] == 0 for t in m.trace)
+        assert all(t["active_left"] == 0 for t in m.trace if "sweeps" in t)
 
     def test_doubling_refines_from_refined_iterates(self):
         # alpha = 2 + i, n = 40 misses the forward bound at 128 bits; after
-        # the doubling the refine restarts from its own iterates, so the
-        # seed phase runs once
+        # the doubling the ladder continues from the target rung's iterates,
+        # so the seed phase runs once
         m = find_roots(build_polynomial(ParameterSchedule.loop_2f1(CR(2, 1)), 40), 128)
         assert _trace_summary(m.trace) == [
-            ("seed", 102, 25), ("refine", 230, 25), ("double-precision", None, None),
-            ("refine", 358, 2),
+            ("seed", 102, 25), ("rung", 230, 25), ("certify", 230, None),
+            ("double-precision", None, None), ("rung", 358, 2), ("certify", 358, None),
         ]
         assert m.precision_bits == 256
+
+    @pytest.mark.parametrize("sched, n, prec", [
+        (SCHED, 40, 512),
+        (FIG5, 10, 2048),
+    ], ids=["K1-n40", "FIG5-n10"])
+    def test_ladder_reaches_target_from_below(self, sched, n, prec):
+        # each rung at most triples the working bits, the last rung is the
+        # target, and the global convergence happens below it
+        p = build_polynomial(sched, n)
+        m = find_roots(p, prec)
+        with mp.workprec(64):
+            spread = _coeff_spread_bits([to_big_complex(c, 64) for c in p.coeffs])
+        bits = [t["working_bits"] for t in m.trace if "sweeps" in t]
+        assert all(a < b <= 3 * a for a, b in zip(bits, bits[1:]))
+        assert bits[-1] == prec + spread + 64
+        assert m.trace[-1] == {"phase": "certify", "working_bits": bits[-1],
+                               "residuals_ok": True, "forward_ok": True}
+        assert m.trace[-2]["sweeps"] <= 2
+
+    @pytest.mark.parametrize("sched, n, prec, digest", [
+        (SCHED, 20, 512, "c6e5c2135f174703d44a53fa907271e8f238feaeb7f675cca54ae341504f0a0d"),
+        (FIG5, 10, 2048, "2128ed95f2a4ac4404f4e54403a333cc7b2402a913b7da005369619ab028d6cb"),
+    ], ids=["K1-n20", "FIG5-n10"])
+    def test_output_bits_pinned(self, sched, n, prec, digest):
+        # the exact bits of the roots, bounds and precision; a schedule
+        # change may move the trace but not these
+        m = find_roots(build_polynomial(sched, n), prec)
+        parts = [m.precision_bits]
+        for x in m.roots + m.residual_bounds + m.forward_error_bounds:
+            raw = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,)
+            parts.append(tuple(tuple(int(v) for v in r) for r in raw))
+        assert hashlib.sha256(repr(parts).encode()).hexdigest() == digest
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
