@@ -202,14 +202,7 @@ def discriminant_z(curve: BivariateCurve):
     """Resultant_w(A, dA/dw) as an exact univariate polynomial in z."""
     A = curve.degree_w
     # w-coefficients of A and dA/dw, as polynomials in z
-    p = []
-    for k in range(A + 1):
-        entry = []
-        if k < len(curve.m_coeffs) and curve.m_coeffs[k]:
-            entry = [ZERO] * k + [curve.m_coeffs[k]]
-        if 1 <= k and (k - 1) < len(curve.n_coeffs) and curve.n_coeffs[k - 1]:
-            entry = poly_sub(entry, [ZERO] * (k - 1) + [curve.n_coeffs[k - 1]])
-        p.append(poly_trim(entry))
+    p = [poly_trim([curve.terms.get((j, k), ZERO) for j in range(A + 1)]) for k in range(A + 1)]
     q = [poly_scale(p[k], ComplexRational(k)) for k in range(1, A + 1)]
     dp = A
     dq = A - 1

@@ -75,6 +75,7 @@ _data_option = click.option("--data", type=click.Path(), default=None,
 _box_option = click.option("--box", type=click.UNPROCESSED, default="-1:2:-1.5:1.5",
                            help="xmin:xmax:ymin:ymax")
 _NLIST_DEFAULT = "10,25,50,100"
+_EXPERIMENTS = ("distance", "convergence", "kscore")
 
 
 @click.group(context_settings={"show_default": True})
@@ -218,18 +219,21 @@ def _load_measures(outdir, ns):
 @_schedule_option
 @click.option("--n-list", type=click.UNPROCESSED, default=_NLIST_DEFAULT, help="comma-separated n ladder")
 @_data_option
-@click.option("--experiments", default="distance,convergence,kscore")
+@click.option("--experiments", default=",".join(_EXPERIMENTS))
 @click.option("--test-point", multiple=True,
               help="convergence test point re,im (side labeled by winding number)")
 @click.option("--eps-cells", type=float, default=3.0)
 @_out_option
 def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     """Run the clustering/convergence experiment reports from emitted files."""
+    wanted = [e.strip() for e in experiments.split(",") if e.strip()]
+    unknown = [e for e in wanted if e not in _EXPERIMENTS]
+    if unknown:
+        raise InvalidInputError(f"unknown experiments {unknown}; choose from {', '.join(_EXPERIMENTS)}")
     spath, sched = _resolve_schedule(schedule)
     ns = sorted(_parse_list(n_list, ",", int))
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
-    wanted = [e.strip() for e in experiments.split(",") if e.strip()]
     zs = [complex(*_parse_fields(tp, ",", 2, float)) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
     shash = serialize.schedule_hash(sched)
     provenance = {"schedule": shash, "n_list": ns, "data_dir": str(datadir)}

@@ -2,8 +2,7 @@
 
 All zeros are found simultaneously by Ehrlich-Aberth iteration seeded on
 Newton-polygon circles (radii from the coefficient-based root-magnitude
-bound), with companion-matrix eigenvalues as a deterministic fallback for
-hard seeds.  Coefficients of this polynomial family span hundreds of orders
+bound).  Coefficients of this polynomial family span hundreds of orders
 of magnitude, so the target working precision carries the coefficient
 spread on top of the requested precision.  The iteration climbs a ladder
 of working precisions towards that target, each rung starting from the
@@ -143,25 +142,6 @@ def _newton_polygon_seeds(coeffs, degree):
             th = 2.0 * math.pi * j / m + 0.4 + float(e)
             seeds.append(mp.mpc(r * math.cos(th), r * math.sin(th)))
     return seeds
-
-
-def _companion_seeds(coeffs, degree):
-    """Fallback seeds from float64 companion eigenvalues; None if not finite."""
-    try:
-        cf = np.array([complex(c) for c in coeffs], dtype=complex)
-    except (OverflowError, ValueError):
-        return None
-    if not np.all(np.isfinite(cf)) or cf[-1] == 0:
-        return None
-    with np.errstate(all="ignore"):
-        try:
-            rts = np.roots(cf[::-1])
-        except np.linalg.LinAlgError:
-            return None
-    if len(rts) != degree or not np.all(np.isfinite(rts)):
-        return None
-    rts = sorted(rts, key=lambda z: (z.real, z.imag))
-    return [mp.mpc(z) for z in rts]
 
 
 def _horner(c, ca, cp, z):
@@ -326,14 +306,16 @@ def _certificates(c, z):
 def _solve_nonzero(c, precision_bits, max_precision_bits):
     """Aberth on a ladder of working precisions for a list with c[0] != 0.
 
-    Rung 0 seeds on the Newton-polygon circles at max(96, spread + 64) bits
-    (with the companion fallback); every later rung reruns the same sweeps
-    from the previous rung's iterates at twice the precision, or at the
-    target prec + spread + 64 once that is within a factor of 3.  The
-    target rung always runs, below rung 0 if a low ``prec`` puts it there.
-    The global convergence thus happens on the cheap low rungs and the
-    target rung only polishes.  The certificates run once, at the target
-    rung; a failure doubles ``prec`` and continues the ladder from the last
+    Rung 0, the ``seed`` record, starts from the Newton-polygon circles at
+    max(96, spread + 64) bits; every later rung reruns the same sweeps from
+    the previous rung's iterates at twice the precision, or at the target
+    prec + spread + 64 once that is within a factor of 3.  Every rung has
+    the same sweep cap, 120 + 2 degree; a rung that reaches it hands its
+    iterates on to the next rung, which finishes the work.  The target rung
+    always runs, below rung 0 if a low ``prec`` puts it there.  The global
+    convergence thus happens on the cheap low rungs and the target rung
+    only polishes.  The certificates run once, at the target rung; a
+    failure doubles ``prec`` and continues the ladder from the last
     iterates.  Returns the unsorted (roots, residuals, forwards,
     precision_used, trace), the roots rounded to precision_used bits and
     the bounds evaluated there.
@@ -341,33 +323,26 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
     degree = len(c) - 1
     with mp.workprec(64):
         spread = _coeff_spread_bits([to_big_complex(ck, 64) for ck in c])
-    wp = max(96, spread + 64)
+    wp, phase = max(96, spread + 64), "seed"
     trace = []
-    with mp.workprec(wp):
-        cw = [to_big_complex(ck, wp) for ck in c]
-        seeds = _newton_polygon_seeds(cw, degree)
-        z, sweeps, left = _aberth_phase(cw, seeds, wp, spread, cap=60)
-        trace.append({"phase": "seed", "working_bits": wp, "sweeps": sweeps, "active_left": left})
-        # seeding failed badly; fall back to companion eigenvalues
-        seeds = _companion_seeds(cw, degree) if left > degree // 2 else None
-        if seeds is not None:
-            trace.append({"phase": "companion-reseed", "working_bits": 53})
-            z, sweeps, left = _aberth_phase(cw, seeds, wp, spread, cap=60)
-            trace.append({"phase": "seed", "working_bits": wp, "sweeps": sweeps, "active_left": left})
     prec = precision_bits
     while True:
         target = prec + spread + 64
         while True:
-            # Aberth converges cubically near the roots, so from within a
-            # factor of 3 of the target one rung reaches it; the target rung
-            # runs even when the seed already works at or above it
-            wp = target if 3 * wp >= target else 2 * wp
+            if phase == "rung":
+                # Aberth converges cubically near the roots, so from within a
+                # factor of 3 of the target one rung reaches it
+                wp = target if 3 * wp >= target else 2 * wp
             with mp.workprec(wp):
                 cw = [to_big_complex(ck, wp) for ck in c]
+                if phase == "seed":
+                    z = _newton_polygon_seeds(cw, degree)
                 z, sweeps, left = _aberth_phase(cw, z, wp, spread, cap=120 + 2 * degree)
-            trace.append({"phase": "rung", "working_bits": wp, "sweeps": sweeps, "active_left": left})
-            if wp == target:
+            trace.append({"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left})
+            # the target rung runs even when the seed already works at or above it
+            if phase == "rung" and wp == target:
                 break
+            phase = "rung"
         with mp.workprec(wp):
             zr = [to_big_complex(zi, prec) for zi in z]
             residuals, forwards = _certificates(cw, zr)

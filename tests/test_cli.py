@@ -122,6 +122,17 @@ class TestRootsAndVerify:
                    "--test-point", point, "--out", tmp_path / "o")
         assert code == 2
 
+    @pytest.mark.parametrize("experiments", ["distanse", "distance,kscroe"])
+    def test_verify_unknown_experiment_exit_two(self, sched_file, tmp_path, experiments):
+        # a misspelt name must not silently skip its experiment
+        out = tmp_path / "o"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        code = run("verify", "--schedule", sched_file, "--n-list", 4,
+                   "--experiments", experiments, "--out", out)
+        assert code == 2
+        assert not (out / "manifest_verify.json").exists()
+
     def test_roots_prints_residual_below_float_range(self, tmp_path, capsys):
         # FIG5 at 2048 bits has residuals near 2^-2060, below the smallest
         # float64; the printed maximum must not read zero

@@ -224,12 +224,18 @@ class TestKernel:
                 w = to_big_complex(w, prec)
                 assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
 
-    def test_companion_reseed_on_far_cluster(self):
-        # roots 2^40 + k, k = 1..8: the Newton-polygon seeds stall at the
-        # sweep cap, and the solve certifies after a companion reseed
-        exact = [_pow2(40) + CR(k) for k in range(1, 9)]
+    @pytest.mark.parametrize("s, expected", [
+        (40, [("seed", 385, 93), ("rung", 513, 2), ("certify", 513, None)]),
+        (60, [("seed", 545, 136), ("rung", 673, 3), ("certify", 673, None)]),
+    ])
+    def test_far_cluster_certifies_on_the_ladder(self, s, expected):
+        # roots 2^s + k, k = 1..8: the Newton-polygon seeds converge slowly
+        # on a cluster far from the origin.  At s = 60 rung 0 stops at the
+        # sweep cap 120 + 2 degree, and the next rung finishes from its
+        # iterates without a precision doubling
+        exact = [_pow2(s) + CR(k) for k in range(1, 9)]
         roots, _, _, prec, trace = solve_all_roots(poly_from_roots(exact), 128)
-        assert "companion-reseed" in [t["phase"] for t in trace]
+        assert _trace_summary(trace) == expected
         assert prec == 128
         with mp.workprec(prec):
             for z, w in zip(roots, exact):
