@@ -219,14 +219,15 @@ def _load_measures(outdir, ns):
 @_schedule_option
 @click.option("--n-list", type=click.UNPROCESSED, default=_NLIST_DEFAULT, help="comma-separated n ladder")
 @_data_option
-@click.option("--experiments", default=",".join(_EXPERIMENTS))
+@click.option("--experiments", type=click.UNPROCESSED, default=",".join(_EXPERIMENTS),
+              help="comma-separated experiment names")
 @click.option("--test-point", multiple=True,
               help="convergence test point re,im (side labeled by winding number)")
 @click.option("--eps-cells", type=float, default=3.0)
 @_out_option
 def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     """Run the clustering/convergence experiment reports from emitted files."""
-    wanted = [e.strip() for e in experiments.split(",") if e.strip()]
+    wanted = [e.strip() for e in _parse_list(experiments, ",", str) if e.strip()]
     unknown = [e for e in wanted if e not in _EXPERIMENTS]
     if unknown:
         raise InvalidInputError(f"unknown experiments {unknown}; choose from {', '.join(_EXPERIMENTS)}")

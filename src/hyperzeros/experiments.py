@@ -253,12 +253,13 @@ def k_set_score(measure: RootCountingMeasure, grid: RegionGrid,
     distances are meaningless).  Also reports the fraction near K
     restricted to the approximate domain D (non-H_1 regions plus their
     boundary), and a deterministic uniform Monte-Carlo null of NULL_SAMPLES
-    points over the box.
+    points over the box.  K is a set of cell centres, so each point is
+    tested only against the K cells in a stencil around its own cell (see
+    ``_near_cells``), with the outcome of a test against every K cell.
     """
     if epsilon is None:
         epsilon = 3.0 * grid.cell_diagonal
-    kpts = grid.k_points()
-    if len(kpts) == 0:
+    if not grid.kmask.any():
         return ClusterScore(epsilon, 0.0, 0.0, 0.0, NULL_SAMPLES, seed)
     roots = measure.as_complex_array()
     xmin, xmax, ymin, ymax = grid.box
@@ -271,27 +272,42 @@ def k_set_score(measure: RootCountingMeasure, grid: RegionGrid,
             f"grid box {grid.box} does not cover the root cloud "
             f"({int((~inside_box).sum())} roots outside)"
         )
-    dmin = _min_dist_chunked(roots, kpts)
-    frac = float(np.mean(dmin <= epsilon))
-    dom = grid.domain_mask()
-    X, Y = np.meshgrid(grid.xs, grid.ys)
-    kpts_d = (X + 1j * Y)[grid.kmask & dom]
-    if len(kpts_d):
-        dmin_d = _min_dist_chunked(roots, kpts_d)
-        frac_d = float(np.mean(dmin_d <= epsilon))
+    frac = float(np.mean(_near_cells(roots, grid, grid.kmask, epsilon)))
+    kmask_d = grid.kmask & grid.domain_mask()
+    if kmask_d.any():
+        frac_d = float(np.mean(_near_cells(roots, grid, kmask_d, epsilon)))
     else:
         frac_d = 0.0
     rng = np.random.default_rng(seed)
     U = rng.uniform(xmin, xmax, NULL_SAMPLES) + 1j * rng.uniform(ymin, ymax, NULL_SAMPLES)
-    dnull = _min_dist_chunked(U, kpts)
-    null_frac = float(np.mean(dnull <= epsilon))
+    null_frac = float(np.mean(_near_cells(U, grid, grid.kmask, epsilon)))
     return ClusterScore(float(epsilon), frac, frac_d, null_frac, NULL_SAMPLES, seed)
 
 
-def _min_dist_chunked(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Min |point - target| per point, 512 points at a time to bound memory."""
-    out = np.empty(len(points))
-    for k in range(0, len(points), 512):
-        block = points[k:k + 512]
-        out[k:k + 512] = np.min(np.abs(block[:, None] - targets[None, :]), axis=1)
-    return out
+def _near_cells(points: np.ndarray, grid: RegionGrid, mask: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """Whether each point lies within epsilon of the centre of a cell in ``mask``.
+
+    Each point is compared only with the masked cells up to
+    ceil(epsilon / cell) + 1 cells from its own cell along each axis: a
+    centre within epsilon lies at most ceil(epsilon / cell) cells away, and
+    the extra cell absorbs rounding.  The test is the one a search over every masked
+    cell makes, |p - c| <= epsilon on the centres c = xs[ix] + 1j*ys[iy], so
+    the outcome is the same.
+    """
+    res = grid.resolution
+    xmin, xmax, ymin, ymax = grid.box
+    hx, hy = (xmax - xmin) / res, (ymax - ymin) / res
+    rx, ry = int(np.ceil(epsilon / hx)) + 1, int(np.ceil(epsilon / hy)) + 1
+    cx = np.clip(np.floor((points.real - xmin) / hx), 0, res - 1).astype(np.int64)
+    cy = np.clip(np.floor((points.imag - ymin) / hy), 0, res - 1).astype(np.int64)
+    # the mask padded by the stencil radius, so no offset leaves the array
+    padded = np.pad(mask, ((ry, ry), (rx, rx))).ravel()
+    own = (cy + ry) * (res + 2 * rx) + cx + rx
+    near = np.zeros(len(points), dtype=bool)
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            k = np.flatnonzero(padded[own + (dy * (res + 2 * rx) + dx)])
+            c = grid.xs[cx[k] + dx] + 1j * grid.ys[cy[k] + dy]
+            near[k] |= np.abs(points[k] - c) <= epsilon
+    return near

@@ -80,22 +80,61 @@ class HarmonicSystem:
         H_i(z) = -ax log|z| + ay Arg z + ax log|p| - ay Arg p.
         Accepts scalars or numpy arrays.
         """
+        return self._evaluate(i, z, shift=False)
+
+    def shifted(self, i: int, z):
+        """H~_i = H_i + C_i (C_1 = 0)."""
+        return self._evaluate(i, z, shift=True)
+
+    def shifted_stack(self, z) -> np.ndarray:
+        """H~_1(z), ..., H~_A(z) stacked along a new first axis, with
+        non-finite values taken as -inf so they never achieve the maximum.
+
+        The singular check, log|z| and Arg z run once for all branches, and
+        each branch is written into one preallocated array, so a region grid
+        holds one copy of the stack.
+        """
+        z = self._checked(z)
+        stack = np.empty((self.num_branches,) + z.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polar = (np.log(np.abs(z)), np.angle(z))
+            for i in range(1, self.num_branches + 1):
+                stack[i - 1] = self._closed_form(i, z, shift=True, polar=polar)
+        stack[~np.isfinite(stack)] = -np.inf
+        return stack
+
+    def _checked(self, z) -> np.ndarray:
+        """z as a complex array, in closed mode and away from 0 and 1."""
         self._require_closed("closed-form harmonic values")
         z = np.asarray(z, dtype=complex)
         self._check_singular(z)
-        p = self.basepoint
+        return z
+
+    def _evaluate(self, i: int, z, shift: bool):
+        z = self._checked(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if i == 1:
-                out = np.log(np.abs(1 - z)) - math.log(abs(1 - p))
-            else:
-                al = complex(self.schedule.alphas[i - 1])
-                out = (
-                    -al.real * np.log(np.abs(z))
-                    + al.imag * np.angle(z)
-                    + al.real * math.log(abs(p))
-                    - al.imag * cmath.phase(p)
-                )
+            out = self._closed_form(i, z, shift)
         return out if out.shape else float(out)
+
+    def _closed_form(self, i: int, z: np.ndarray, shift: bool, polar=None):
+        """H_i at the checked array z, plus C_i when ``shift``; ``polar`` is
+        (log|z|, Arg z) when the caller has them already.  The terms are
+        summed left to right into one array, so a grid holds one temporary
+        row."""
+        p = self.basepoint
+        if i == 1:
+            out = np.log(np.abs(1 - z))
+            out -= math.log(abs(1 - p))
+        else:
+            log_r, arg = polar if polar is not None else (np.log(np.abs(z)), np.angle(z))
+            al = complex(self.schedule.alphas[i - 1])
+            out = -al.real * log_r
+            out += al.imag * arg
+            out += al.real * math.log(abs(p))
+            out -= al.imag * cmath.phase(p)
+        if shift:
+            out += self.offsets[i - 1]
+        return out
 
     def _check_singular(self, z):
         bad = np.minimum(np.abs(np.asarray(z) - 1.0), np.abs(np.asarray(z))) < SINGULAR_GUARD
@@ -103,11 +142,6 @@ class HarmonicSystem:
             raise InvalidInputError(
                 "harmonic branch potentials have logarithmic singularities at 0 and 1"
             )
-
-    def shifted(self, i: int, z):
-        """H~_i = H_i + C_i (C_1 = 0)."""
-        base = self.harmonic(i, z)
-        return base + self.offsets[i - 1]
 
     def branch_value(self, i: int, z):
         """The rational branch f_i at z (closed mode): 1/(z-1) or -alpha_i/z."""
@@ -186,6 +220,10 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
 # -- branch tracking along paths ---------------------------------------------
 
 
+def _degenerate(z) -> InvalidInputError:
+    return InvalidInputError(f"branch values degenerate at z = {z}")
+
+
 class _BranchTracker:
     """Follows branches of A(z, w) = 0 along points by nearest continuation."""
 
@@ -193,11 +231,37 @@ class _BranchTracker:
         self.m = [complex(c) for c in curve.m_coeffs]
         self.n = [complex(c) for c in curve.n_coeffs]
 
+    def branches(self, zs) -> np.ndarray:
+        """The branch values at each point of ``zs``, one row per point.
+
+        The rows are the eigenvalues of the companion matrices that
+        ``np.roots`` builds for the w-polynomials A(z, .), solved in one
+        stacked call.  They end before the first point where the leading
+        coefficient vanishes, z is at the singular 0, or the matrix is not
+        finite; the caller raises there when it reaches that point.  An
+        empty ``zs`` gives an empty (0, degree) array.
+        """
+        degree = len(self.m) - 1
+        coeffs = np.array(
+            [w_coefficients(self.m, self.n, z)[::-1] for z in zs], dtype=complex
+        ).reshape(len(zs), degree + 1)
+        mats = np.zeros((len(zs), degree, degree), dtype=complex)
+        mats[:, range(1, degree), range(degree - 1)] = 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mats[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        usable = (
+            (np.abs(coeffs[:, 0]) != 0)
+            & (np.abs(np.asarray(zs)) >= SINGULAR_GUARD)
+            & np.isfinite(mats).all(axis=(1, 2))
+        )
+        stop = len(zs) if usable.all() else int(usable.argmin())
+        return np.linalg.eigvals(mats[:stop])
+
     def all_branches(self, z: complex) -> np.ndarray:
-        coeffs = w_coefficients(self.m, self.n, z)
-        if abs(coeffs[-1]) == 0 or abs(z) < SINGULAR_GUARD:
-            raise InvalidInputError(f"branch values degenerate at z = {z}")
-        return np.roots(coeffs[::-1])
+        ws = self.branches([z])
+        if not len(ws):
+            raise _degenerate(z)
+        return ws[0]
 
     def select(self, z: complex, indices) -> list:
         """The branch values at z with the given 1-based indices, branches
@@ -207,29 +271,67 @@ class _BranchTracker:
             raise InvalidInputError(f"branch indices {tuple(indices)} out of range 1..{len(ws)}")
         return [ws[i - 1] for i in indices]
 
-    def step(self, z: complex, w_prev) -> tuple:
-        """Continue the branches with values ``w_prev`` (an array) to the point z.
+    def track(self, zs, w, overrides=None) -> tuple:
+        """Continue the branches with values ``w`` (an array) through the
+        points ``zs`` in turn.
 
-        Each value moves to its nearest branch at z.  Returns (w, margin_ok)
-        where margin_ok is False when some move exceeds a quarter of the
-        separation from its branch to the nearest other branch (the caller
-        should shorten its step).
+        At each point every value moves to its nearest branch there.  Returns
+        (values, margin_ok): ``values[k]`` holds the values at ``zs[k]`` for
+        each point reached.  The walk stops after the first point where some
+        move exceeds a quarter of the separation from its branch to the
+        nearest other branch, with margin_ok False (the caller should shorten
+        its step).  ``overrides[k]``, when not None, replaces the values at
+        ``zs[k]`` and the next point matches from it.
+
+        All points are solved by one ``branches`` call, and the nearest-branch
+        maps between consecutive points and every branch's separation are
+        computed for all points at once.  A degenerate point raises
+        InvalidInputError, and a separation below MIN_BRANCH_SEPARATION
+        raises BranchCollisionError, only when the walk reaches that point.
         """
-        ws = self.all_branches(z)
-        dists = np.abs(w_prev[:, None] - ws)
-        w = ws[dists.argmin(axis=1)]
-        if len(ws) < 2:
-            return w, True
-        # the smallest distance from w to a branch is 0 (its own); the next is
-        # the separation
-        sep = np.sort(np.abs(w[:, None] - ws), axis=1)[:, 1]
-        if sep.min() < MIN_BRANCH_SEPARATION:
-            raise BranchCollisionError(
-                f"branches collide near z = {z} (separation {sep.min():.2e}); "
-                "reroute the path",
-                where=z,
-            )
-        return w, bool((dists.min(axis=1) <= sep / 4).all())
+        if overrides is None:
+            overrides = [None] * len(zs)
+        ws = self.branches([z for z, o in zip(zs, overrides) if o is None])
+        # nearest[r][i] is the branch of row r + 1 nearest to branch i of row
+        # r, at distance moved[r][i]; sep[r][i] is the distance from branch i
+        # of row r to its nearest other branch (the smallest distance is 0,
+        # its own)
+        gaps = np.abs(ws[:-1, :, None] - ws[1:, None, :])
+        nearest, moved = gaps.argmin(axis=2), gaps.min(axis=2)
+        sep = None
+        if ws.shape[1] > 1:
+            sep = np.sort(np.abs(ws[:, :, None] - ws[:, None, :]), axis=2)[:, :, 1]
+        values = []
+        row = 0
+        chosen = None  # indices into the previous row that the values came from
+        for z, override in zip(zs, overrides):
+            if override is not None:
+                w, chosen = override, None
+                values.append(w)
+                continue
+            if row == len(ws):
+                raise _degenerate(z)
+            if chosen is None:
+                dists = np.abs(w[:, None] - ws[row])
+                chosen, move = dists.argmin(axis=1), dists.min(axis=1)
+            else:
+                chosen, move = nearest[row - 1][chosen], moved[row - 1][chosen]
+            w = ws[row][chosen]
+            values.append(w)
+            ok = True
+            if sep is not None:
+                s = sep[row][chosen]
+                if s.min() < MIN_BRANCH_SEPARATION:
+                    raise BranchCollisionError(
+                        f"branches collide near z = {z} (separation {s.min():.2e}); "
+                        "reroute the path",
+                        where=z,
+                    )
+                ok = bool((move <= s / 4).all())
+            row += 1
+            if not ok:
+                return values, False
+        return values, True
 
 
 # QUADPACK's qk15 Gauss-Kronrod 7/15 rule on [-1, 1]: the nodes x >= 0 from
@@ -254,23 +356,18 @@ def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
     (integrals, ws_end).
 
     ``ws`` holds the values at a of the branches to integrate; all of them
-    are tracked together, one ``all_branches`` call per node.  Each step is
-    a Gauss-Kronrod 7/15 pass whose error estimate |K15 - G7| reuses the
-    step's own nodes.  A step is halved when that estimate exceeds
-    QUAD_TOL * max(1, |b - a|) or a branch moves more than a quarter of its
-    separation, and doubled after an estimate below QUAD_TOL / 100.
-    ``reanchor(s)`` may return closed-form branch values to take instead of
-    the tracked ones (near branch points, where nearest-value matching is
-    ill-conditioned), or None to keep tracking.  A step below 1e-12 of the
-    segment raises BranchCollisionError so the caller can reroute.
+    are tracked together through each step's 16 nodes by one
+    ``_BranchTracker.track`` call, which solves the nodes' w-polynomials in
+    one stacked eigenvalue call.  Each step is a Gauss-Kronrod 7/15 pass
+    whose error estimate |K15 - G7| reuses the step's own nodes.  A step is
+    halved when that estimate exceeds QUAD_TOL * max(1, |b - a|) or a branch
+    moves more than a quarter of its separation, and doubled after an
+    estimate below QUAD_TOL / 100.  ``reanchor(s)`` may return closed-form
+    branch values to take instead of the tracked ones (near branch points,
+    where nearest-value matching is ill-conditioned), or None to keep
+    tracking.  A step below 1e-12 of the segment raises BranchCollisionError
+    so the caller can reroute.
     """
-
-    def advance(s, w):
-        override = reanchor(s) if reanchor is not None else None
-        if override is not None:
-            return override, True
-        return tracker.step(s, w)
-
     ws = np.asarray(ws, dtype=complex)
     total = np.zeros_like(ws)
     limit = QUAD_TOL * max(1.0, abs(b - a))
@@ -280,13 +377,9 @@ def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
         dt = min(dt, 1.0 - t)
         a0 = a + (b - a) * t
         half = (b - a) * dt / 2
-        w = ws
-        vals = []
-        for x in _GK_X:
-            w, ok = advance(a0 + half * (1 + x), w)
-            if not ok:
-                break
-            vals.append(w)
+        nodes = [a0 + half * (1 + x) for x in _GK_X]
+        overrides = [reanchor(s) for s in nodes] if reanchor is not None else None
+        vals, ok = tracker.track(nodes, ws, overrides)
         if ok:
             vals = np.array(vals)
             kronrod = half * (_K15_W @ vals)
@@ -302,7 +395,7 @@ def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
                 )
             continue
         total += kronrod
-        ws = w
+        ws = vals[-1]
         t += dt
         if err < QUAD_TOL / 100:
             dt *= 2
@@ -689,20 +782,13 @@ class PsiValue:
 PSI_TIE_TOL = 1e-10
 
 
-def _shifted_stack(sys: HarmonicSystem, z) -> np.ndarray:
-    """H~_1(z), ..., H~_A(z) stacked along a new first axis, with non-finite
-    values taken as -inf so they never achieve the maximum."""
-    stack = np.stack([sys.shifted(i, z) for i in range(1, sys.num_branches + 1)])
-    return np.where(np.isfinite(stack), stack, -np.inf)
-
-
 def psi_value(sys: HarmonicSystem, z) -> PsiValue:
     """Max over {H_1, H~_2, ..., H~_A} with the achieving (1-based) index.
 
     Ties within 1e-10 are broken by the smallest index and reported (the
     region grid takes the plain argmax, since its labels carry no ties).
     """
-    vals = _shifted_stack(sys, z)
+    vals = sys.shifted_stack(z)
     top = float(vals.max())
     near = np.flatnonzero(vals >= top - PSI_TIE_TOL)
     return PsiValue(top, int(near[0]) + 1, len(near) > 1)
@@ -794,7 +880,5 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
     if res < 2:
         raise InvalidInputError("resolution must be at least 2")
     xs, ys = RegionGrid.cell_centres(box, res)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    labels = np.argmax(_shifted_stack(sys, Z), axis=0).astype(np.int16) + 1
+    labels = np.argmax(sys.shifted_stack(xs + 1j * ys[:, None]), axis=0).astype(np.int16) + 1
     return RegionGrid.from_labels(box, res, labels)

@@ -227,3 +227,25 @@ class TestConfigPrecedence:
         assert sorted(p.name for p in out.glob("roots_n*.txt")) == ["roots_n4.txt", "roots_n6.txt"]
         manifest = json.loads((out / "manifest_roots.json").read_text())
         assert manifest["config"]["n_list"] == [4, 6]
+
+    @pytest.mark.parametrize("experiments, code", [
+        (["kscore"], 0), ("kscore", 0), (["distance", "kscroe"], 2),
+    ])
+    def test_verify_experiments_from_config(self, sched_file, tmp_path, experiments, code):
+        # a config gives experiments as a JSON list or as the flag's string
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "schedule": str(sched_file), "n_list": [4], "precision": 128, "resolution": 40,
+            "experiments": experiments, "out": str(out),
+        }))
+        assert run("--config", cfg, "roots") == 0
+        assert run("--config", cfg, "regions") == 0
+        assert run("--config", cfg, "verify") == code
+        if code:
+            assert not (out / "manifest_verify.json").exists()
+        else:
+            manifest = json.loads((out / "manifest_verify.json").read_text())
+            assert manifest["config"]["experiments"] == ["kscore"]
+            assert (out / "report_kscore.json").exists()
+            assert not (out / "report_distance.json").exists()

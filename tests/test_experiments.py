@@ -3,10 +3,14 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import ComplexRational
 from hyperzeros.experiments import (
+    NULL_SAMPLES,
+    _near_cells,
     cauchy_convergence,
     k_set_score,
     halfplane_restriction,
@@ -16,7 +20,13 @@ from hyperzeros.experiments import (
     zero_curve_distance,
 )
 from hyperzeros.hyppoly import ParameterSchedule, build_polynomial
-from hyperzeros.potential import LevelCurve, classify_regions, make_harmonic_system, trace_conjectured_loop
+from hyperzeros.potential import (
+    LevelCurve,
+    RegionGrid,
+    classify_regions,
+    make_harmonic_system,
+    trace_conjectured_loop,
+)
 from hyperzeros.rootfinding import RootCountingMeasure, find_roots
 
 CR = ComplexRational
@@ -186,6 +196,64 @@ class TestConjecture2Score:
         p = score.null_fraction
         sigma = (p * (1 - p) / 400) ** 0.5
         assert abs(score.fraction_on_k - p) < 3 * sigma + 1e-9
+
+
+def _near_all_pairs(points, grid, mask, eps):
+    """Within eps of some masked cell centre, by a search over every cell."""
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    centres = (X + 1j * Y)[mask]
+    if not len(centres):
+        return np.zeros(len(points), dtype=bool)
+    return np.array([np.min(np.abs(p - centres)) <= eps for p in points])
+
+
+class TestGridWindow:
+    """The K-set score tests each point only against the K cells in its
+    epsilon-window; the outcome must be that of the all-pairs search."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        res=st.integers(2, 30),
+        density=st.sampled_from([0.0, 0.02, 0.2, 0.7]),
+        eps_cells=st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+        corner=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        size=st.tuples(st.floats(0.1, 5), st.floats(0.1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_all_pairs(self, res, density, eps_cells, corner, size, seed):
+        rng = np.random.default_rng(seed)
+        box = (corner[0], corner[0] + size[0], corner[1], corner[1] + size[1])
+        labels = np.where(rng.random((res, res)) < density, 2, 1).astype(np.int16)
+        grid = RegionGrid.from_labels(box, res, labels)
+        xmin, xmax, ymin, ymax = box
+        # cell edges, box edges and corners, and uniform points
+        ex = xmin + (xmax - xmin) / res * rng.integers(0, res + 1, 25)
+        ey = ymin + (ymax - ymin) / res * rng.integers(0, res + 1, 25)
+        ux = rng.uniform(xmin, xmax, 25)
+        uy = rng.uniform(ymin, ymax, 25)
+        corners = np.array([xmin, xmax, xmax, xmin]) + 1j * np.array([ymin, ymin, ymax, ymax])
+        points = np.concatenate([ux + 1j * uy, ex + 1j * uy, ux + 1j * ey, ex + 1j * ey, corners])
+        eps = eps_cells * (xmax - xmin) / res
+        for mask in (grid.kmask, grid.kmask & grid.domain_mask()):
+            assert np.array_equal(_near_cells(points, grid, mask, eps),
+                                  _near_all_pairs(points, grid, mask, eps))
+
+    def test_score_fields_match_all_pairs(self, grid):
+        rng = np.random.default_rng(11)
+        xmin, xmax, ymin, ymax = grid.box
+        pts = list(grid.k_points()[::7]) + list(rng.uniform(xmin, xmax, 60)
+                                                + 1j * rng.uniform(ymin, ymax, 60))
+        m = fake_measure(pts)
+        roots = m.as_complex_array()
+        eps = 3.0 * grid.cell_diagonal
+        score = k_set_score(m, grid, seed=7)
+        null_rng = np.random.default_rng(7)
+        null = (null_rng.uniform(xmin, xmax, NULL_SAMPLES)
+                + 1j * null_rng.uniform(ymin, ymax, NULL_SAMPLES))
+        domain = grid.kmask & grid.domain_mask()
+        assert score.fraction_on_k == float(np.mean(_near_all_pairs(roots, grid, grid.kmask, eps)))
+        assert score.fraction_on_k_in_domain == float(np.mean(_near_all_pairs(roots, grid, domain, eps)))
+        assert score.null_fraction == float(np.mean(_near_all_pairs(null, grid, grid.kmask, eps)))
 
 
 class TestEndToEndK1:

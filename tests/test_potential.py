@@ -10,10 +10,22 @@ from hyperzeros.errors import (
     NonConvergenceError,
     SaddleAtSeedError,
 )
+from hyperzeros.algcurve import w_coefficients
 from hyperzeros.exact import ComplexRational
 from hyperzeros.hyppoly import ParameterSchedule
 from hyperzeros.potential import (
+    _GK_X,
+    _G7_W,
+    _K15_W,
+    MIN_BRANCH_SEPARATION,
+    PSI_TIE_TOL,
+    QUAD_TOL,
+    SINGULAR_GUARD,
+    HarmonicSystem,
+    RegionGrid,
+    _BranchTracker,
     _crosses_cut,
+    _integrate,
     classify_regions,
     harmonic_value_by_integration,
     level_seed_on_ray,
@@ -30,6 +42,7 @@ K1 = ParameterSchedule.loop_2f1(1)
 ALPHA = CR(F(1, 2), -1)
 CONJ = ParameterSchedule.loop_2f1(ALPHA)
 FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
+ND3 = ParameterSchedule((-1, CR(F(1, 2), 1), 2), (0, 1, 0), (1, CR(F(3, 2), -1)), (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -236,11 +249,172 @@ class TestIntegralModeTrace:
         w = np.array([ws[0]])
         steps = 40
         for k in range(1, steps + 1):
-            w, _ = tracker.step(sys_.basepoint + (z0 - sys_.basepoint) * k / steps, w)
+            (w,), _ = tracker.track([sys_.basepoint + (z0 - sys_.basepoint) * k / steps], w)
         (w,) = w
         # gradient of Re int f ds is conj(f)
         assert abs((v1 - v0) / h - w.real) < 1e-4
         assert abs((v2 - v0) / h - (-w.imag)) < 1e-4
+
+
+def _reference_integrate(tracker, a, b, ws, reanchor=None):
+    """``_integrate`` as a chain of single-point steps, one ``np.roots`` solve
+    per node: the reference the batched tracker must reproduce exactly."""
+
+    def step(s, w_prev):
+        override = reanchor(s) if reanchor is not None else None
+        if override is not None:
+            return override, True
+        coeffs = w_coefficients(tracker.m, tracker.n, s)
+        if abs(coeffs[-1]) == 0 or abs(s) < SINGULAR_GUARD:
+            raise InvalidInputError(f"branch values degenerate at z = {s}")
+        branches = np.roots(coeffs[::-1])
+        dists = np.abs(w_prev[:, None] - branches)
+        w = branches[dists.argmin(axis=1)]
+        sep = np.sort(np.abs(w[:, None] - branches), axis=1)[:, 1]
+        if sep.min() < MIN_BRANCH_SEPARATION:
+            raise BranchCollisionError("branches collide", where=s)
+        return w, bool((dists.min(axis=1) <= sep / 4).all())
+
+    ws = np.asarray(ws, dtype=complex)
+    total = np.zeros_like(ws)
+    limit = QUAD_TOL * max(1.0, abs(b - a))
+    t, dt = 0.0, 1.0
+    while t < 1.0 - 1e-15:
+        dt = min(dt, 1.0 - t)
+        a0 = a + (b - a) * t
+        half = (b - a) * dt / 2
+        w, vals = ws, []
+        for x in _GK_X:
+            w, ok = step(a0 + half * (1 + x), w)
+            if not ok:
+                break
+            vals.append(w)
+        if ok:
+            vals = np.array(vals)
+            kronrod = half * (_K15_W @ vals)
+            err = float(np.max(np.abs(kronrod - half * (_G7_W @ vals))))
+            ok = err <= limit
+        if not ok:
+            dt /= 2
+            if dt < 1e-12:
+                raise BranchCollisionError("quadrature step collapsed", where=a0)
+            continue
+        total += kronrod
+        ws = w
+        t += dt
+        if err < QUAD_TOL / 100:
+            dt *= 2
+    return total, ws
+
+
+def _forced_integral(system):
+    return HarmonicSystem(system.schedule, system.basepoint, "integral", system.curve, (), ())
+
+
+class TestBatchedTracker:
+    """The batched tracker solves each quadrature step's nodes together; its
+    integrals, end values and failures must equal single-point stepping."""
+
+    # the second segment passes the branch point 1/2, where steps halve
+    @pytest.mark.parametrize("a, b", [(1.4 + 0.3j, 0.9 + 0.6j), (0.3 + 0.05j, 0.7 + 0.01j)])
+    def test_forced_integral_k1_segment(self, sys_k1, a, b):
+        tracker = _BranchTracker(_forced_integral(sys_k1).curve)
+        ws = tracker.select(a, (1, 2))
+        got = _integrate(tracker, a, b, ws)
+        ref = _reference_integrate(tracker, a, b, ws)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("b", [0.5 + 1.0j, -1.0 + 0.5j, 0.3 - 1.2j])
+    def test_nd3_integral_segment(self, b):
+        sys_ = make_harmonic_system(ND3, basepoint=2.0 + 1.0j)
+        tracker = _BranchTracker(sys_.curve)
+        a = sys_.basepoint
+        ws = tracker.select(a, (1, 2, 3))
+        got = _integrate(tracker, a, b, ws)
+        ref = _reference_integrate(tracker, a, b, ws)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_reanchored_closed_segment(self, sys_k1):
+        # starts at the branch point 1/2, where closed forms replace matching
+        tracker = _BranchTracker(sys_k1.curve)
+
+        def reanchor(s):
+            if abs(s - 0.5) < 0.05:
+                return np.array([complex(sys_k1.branch_value(2, s))])
+            return None
+
+        a, b = sys_k1.basepoint, 1.3 + 0.4j
+        ws = [complex(sys_k1.branch_value(2, a))]
+        got = _integrate(tracker, a, b, ws, reanchor)
+        ref = _reference_integrate(tracker, a, b, ws, reanchor)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_margin_failure_before_degenerate_node_halves(self, sys_k1):
+        # the first step's middle node is the pole z = 1, where A(z, .)
+        # loses its leading coefficient; the branch 1/(z - 1) fails the
+        # margin on the way there, so the step halves instead of raising
+        tracker = _BranchTracker(_forced_integral(sys_k1).curve)
+        a, b = 0.25 + 0.3j, 1.75 - 0.3j
+        nodes = [a + (b - a) * 0.0 + (b - a) / 2 * (1 + x) for x in _GK_X]
+        assert nodes[7] == 1.0
+        ws = np.array(tracker.select(a, (1, 2)))
+        values, ok = tracker.track(nodes, ws)
+        assert not ok and len(values) < 7
+        with pytest.raises(InvalidInputError):
+            tracker.track(nodes[7:], ws)
+        with pytest.raises(BranchCollisionError) as got:
+            _integrate(tracker, a, b, ws)
+        with pytest.raises(BranchCollisionError) as ref:
+            _reference_integrate(tracker, a, b, ws)
+        assert got.value.where == ref.value.where
+
+    def test_one_point_track_matches_np_roots(self, sys_k1):
+        tracker = _BranchTracker(_forced_integral(sys_k1).curve)
+        z = 1.3 + 0.2j
+        branches = np.roots(w_coefficients(tracker.m, tracker.n, z)[::-1])
+        assert np.array_equal(tracker.all_branches(z), branches)
+        (w,), ok = tracker.track([z], np.array([-0.7 + 0.1j]))
+        assert ok and w == branches[np.abs(-0.7 + 0.1j - branches).argmin()]
+        with pytest.raises(InvalidInputError):
+            tracker.track([1.0 + 0j], w)
+
+    def test_all_nodes_reanchored(self, sys_k1):
+        # every node of the step lies within 0.05 of the branch point 1/2, so
+        # no node is solved and the values come from the closed form alone
+        tracker = _BranchTracker(sys_k1.curve)
+        assert tracker.branches([]).shape == (0, 2)
+        nodes = [0.5 + 0.01 * x for x in _GK_X]
+        closed = [np.array([complex(sys_k1.branch_value(2, s))]) for s in nodes]
+        values, ok = tracker.track(nodes, np.array(closed[0]), closed)
+        assert ok and all(np.array_equal(v, c) for v, c in zip(values, closed))
+
+
+class TestIntegrationNearBranchPoints:
+    """Closed-mode integrals whose steps lie wholly inside the reanchoring
+    disk around a branch point."""
+
+    @pytest.mark.parametrize("z", [0.5 + 0j, 0.52 + 0j, 0.5 + 0.03j, 0.47 - 0.02j])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_target_near_basepoint(self, sys_k1, i, z):
+        # the default basepoint is the branch point 1/2; z = 1/2 is a
+        # zero-length segment
+        hv = float(sys_k1.harmonic(i, z))
+        assert abs(harmonic_value_by_integration(sys_k1, i, z) - hv) < 1e-10
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_waypoint_at_branch_point(self, sys_k1, i):
+        z = 1.3 + 0.4j
+        path = [0.9 + 0.5j, 0.5 + 0j, 0.51 + 0.01j, 0.2 - 0.4j]
+        hv = float(sys_k1.harmonic(i, z))
+        assert abs(harmonic_value_by_integration(sys_k1, i, z, path=path) - hv) < 1e-10
+
+    def test_target_near_other_branch_point(self, sys_conj):
+        p2 = sys_conj.branch_point_list[0]
+        sys_ = make_harmonic_system(CONJ, basepoint=1.5 + 0.5j)
+        for z in (p2, p2 + 0.02, p2 - 0.01j):
+            for i in (1, 2):
+                hv = float(sys_.harmonic(i, z))
+                assert abs(harmonic_value_by_integration(sys_, i, z) - hv) < 1e-10
 
 
 class TestPsi:
@@ -294,6 +468,45 @@ class TestRegions:
         sys_ = make_harmonic_system(sched, basepoint=2.0 + 1.0j)
         with pytest.raises(InvalidInputError):
             classify_regions(sys_, (-1, 2, -1, 1), 50)
+
+
+class TestBatchedRegions:
+    """The region grid and Psi computed from one shifted stack per grid must
+    equal the per-branch ``shifted`` values stacked afterwards."""
+
+    @staticmethod
+    def reference_stack(sys_, z):
+        stack = np.stack([sys_.shifted(i, z) for i in range(1, sys_.num_branches + 1)])
+        return np.where(np.isfinite(stack), stack, -np.inf)
+
+    # the odd resolution puts a row of cell centres on the Arg cut
+    @pytest.mark.parametrize("family, box, res", [
+        ("K1", (-1.0, 2.0, -1.5, 1.5), 200),
+        ("K1", (-3.0, 2.5, -2.0, 2.0), 201),
+        ("FIG5", (-1.0, 2.0, -1.5, 1.5), 150),
+        ("FIG5", (-0.5, 1.5, -1.0, 1.0), 121),
+    ])
+    def test_labels_and_kmask(self, sys_k1, sys_fig5, family, box, res):
+        sys_ = {"K1": sys_k1, "FIG5": sys_fig5}[family]
+        grid = classify_regions(sys_, box, res)
+        X, Y = np.meshgrid(*RegionGrid.cell_centres(box, res))
+        labels = np.argmax(self.reference_stack(sys_, X + 1j * Y), axis=0).astype(np.int16) + 1
+        assert np.array_equal(grid.labels, labels)
+        assert np.array_equal(grid.kmask, RegionGrid.from_labels(box, res, labels).kmask)
+
+    @pytest.mark.parametrize("z", [1.05, 1e6 + 0j, 0.3 + 0.4j, -1 + 0j, complex(-1, -0.0),
+                                   2 - 1j, 0.5 + 0.5j, 1.2071067811865475])
+    def test_psi_value(self, sys_k1, sys_fig5, z):
+        for sys_ in (sys_k1, sys_fig5):
+            vals = self.reference_stack(sys_, z)
+            top = float(vals.max())
+            near = np.flatnonzero(vals >= top - PSI_TIE_TOL)
+            pv = psi_value(sys_, z)
+            assert (pv.value, pv.index, pv.tie) == (top, int(near[0]) + 1, len(near) > 1)
+
+    def test_singular_point_in_grid_rejected(self, sys_k1):
+        with pytest.raises(InvalidInputError):
+            classify_regions(sys_k1, (-1.0, 1.0, -1.0, 1.0), 3)
 
 
 class TestCutBarrier:
