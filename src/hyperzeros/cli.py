@@ -11,6 +11,10 @@ keys are the option names with ``-`` replaced by ``_``.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
 4 missing files.
+
+The commands import the array modules (numpy, ``potential``,
+``experiments``, ``svgfig``) and ``algcurve`` themselves, so ``poly``,
+``roots`` and ``curve`` start without numpy.
 """
 
 from __future__ import annotations
@@ -21,21 +25,11 @@ from pathlib import Path
 
 import click
 import mpmath as mp
-import numpy as np
 
 from . import serialize
 from .errors import InvalidInputError, NonConvergenceError
-from .experiments import (
-    cauchy_convergence,
-    k_set_score,
-    halfplane_restriction,
-    label_side,
-    zero_curve_distance,
-)
 from .hyppoly import build_polynomial
-from .potential import classify_regions, make_harmonic_system, trace_conjectured_loop, trace_level_curve
 from .rootfinding import find_roots
-from .svgfig import compose_figure
 
 
 def _parse_list(value, sep, kind):
@@ -160,6 +154,8 @@ def cmd_curve(schedule, precision, out):
 @_out_option
 def cmd_levels(schedule, pair, seed, step, out):
     """Trace level curves (default: the conjectured loops through the branch points)."""
+    from .potential import make_harmonic_system, trace_conjectured_loop, trace_level_curve
+
     spath, sched = _resolve_schedule(schedule)
     outdir = _outdir(out)
     sys_ = make_harmonic_system(sched)
@@ -192,6 +188,8 @@ def cmd_levels(schedule, pair, seed, step, out):
 @_out_option
 def cmd_regions(schedule, box, resolution, out):
     """Classify the grid by argmax branch and extract the singular set K."""
+    from .potential import classify_regions, make_harmonic_system
+
     spath, sched = _resolve_schedule(schedule)
     box = _parse_fields(box, ":", 4, float)
     outdir = _outdir(out)
@@ -227,6 +225,14 @@ def _load_measures(outdir, ns):
 @_out_option
 def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     """Run the clustering/convergence experiment reports from emitted files."""
+    from .experiments import (
+        cauchy_convergence,
+        halfplane_restriction,
+        k_set_score,
+        label_side,
+        zero_curve_distance,
+    )
+
     wanted = [e.strip() for e in _parse_list(experiments, ",", str) if e.strip()]
     unknown = [e for e in wanted if e not in _EXPERIMENTS]
     if unknown:
@@ -314,6 +320,10 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
 @_out_option
 def cmd_plot(data, n, box, with_regions, width, out):
     """Compose the SVG figure from previously emitted files."""
+    import numpy as np
+
+    from .svgfig import compose_figure
+
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
     box = _parse_fields(box, ":", 4, float)

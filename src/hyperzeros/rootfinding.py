@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -462,7 +461,10 @@ class RootCountingMeasure:
         """Exactly 1: n atoms of weight 1/n (computed in rational arithmetic)."""
         return Fraction(1, self.n) * self.n
 
-    def as_complex_array(self) -> np.ndarray:
+    def as_complex_array(self):
+        """The roots as a numpy complex array."""
+        import numpy as np
+
         return np.array([complex(z) for z in self.roots])
 
 
@@ -482,15 +484,8 @@ def _find_clusters(roots, precision_bits):
     radius = _cluster_radius(precision_bits)
     rad = math.ldexp(1.0, -precision_bits // 8)
     eps = 2.0 ** -40
-    with np.errstate(all="ignore"):
-        zf = np.array([complex(z) for z in roots], dtype=complex)
-        mag = np.abs(zf)
-        dist = np.abs(zf[:, None] - zf[None, :])
-        lower = dist * (1 - eps) - eps * (mag[:, None] + mag[None, :])
-        far = np.isfinite(lower) & (lower > rad * (1 + mag[:, None]) * (1 + eps) + 2.0 ** -900)
-    if rad == 0.0:
-        # the radius underflows float64, so the screen bounds nothing
-        far[:] = False
+    zf = [complex(z) for z in roots]
+    mag = [math.hypot(z.real, z.imag) for z in zf]
 
     def find(i):
         while parent[i] != i:
@@ -499,9 +494,17 @@ def _find_clusters(roots, precision_bits):
         return i
 
     with mp.workprec(precision_bits):
-        for i, j in np.argwhere(np.triu(~far, 1)).tolist():
-            if abs(roots[i] - roots[j]) < radius * (1 + abs(roots[i])):
-                parent[find(i)] = find(j)
+        for i in range(n):
+            zi, mi = zf[i], mag[i]
+            # a radius that underflows float64 bounds nothing
+            bound = rad * (1 + mi) * (1 + eps) + 2.0 ** -900 if rad else math.inf
+            for j in range(i + 1, n):
+                d = zi - zf[j]
+                lower = math.hypot(d.real, d.imag) * (1 - eps) - eps * (mi + mag[j])
+                if bound < lower < math.inf:
+                    continue
+                if abs(roots[i] - roots[j]) < radius * (1 + abs(roots[i])):
+                    parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

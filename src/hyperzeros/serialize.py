@@ -3,6 +3,13 @@
 All writers are deterministic: no timestamps, fixed digit counts derived
 from the stated precision, newline-terminated text.  Re-running a command
 with identical inputs reproduces byte-identical files.
+
+A region grid is a JSON header line and then one row of label digits 1-9
+per grid row.  The writer emits the whole raster as one byte array and the
+reader parses it the same way; the reader checks the rows against the
+header's resolution.  numpy and the array types are imported by the
+functions that use them, so the schedule, polynomial, roots and curve
+formats load without numpy.
 """
 
 from __future__ import annotations
@@ -12,15 +19,19 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import mpmath as mp
-import numpy as np
 
 from .errors import InvalidInputError
 from .exact import ComplexRational, format_complex_rational, parse_complex_rational
 from .hyppoly import HypPolynomial, ParameterSchedule
-from .potential import LevelCurve, RegionGrid
 from .rootfinding import RootCountingMeasure
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .potential import LevelCurve, RegionGrid
 
 
 def decimal_digits(precision_bits: int) -> int:
@@ -180,6 +191,8 @@ def write_branch_points(path, bps, precision_bits: int = 128) -> None:
 
 
 def read_point_list(path) -> np.ndarray:
+    import numpy as np
+
     pts = []
     for line in Path(path).read_text().splitlines():
         if not line or line.startswith("#"):
@@ -208,6 +221,10 @@ def write_level_curve(path, curve: LevelCurve) -> None:
 
 
 def read_level_curve(path) -> LevelCurve:
+    import numpy as np
+
+    from .potential import LevelCurve
+
     points = []
     residuals = []
     pair = (0, 0)
@@ -242,16 +259,27 @@ def read_level_curve(path) -> LevelCurve:
 
 
 def write_region_grid(path, grid: RegionGrid) -> None:
-    """JSON header line, then one raster line per row (label digits)."""
+    """JSON header line, then one raster line per row (label digits 1-9).
+
+    The raster is built as one ``uint8`` array of digit codes with a newline
+    column and written with ``tobytes``.  Labels outside 1-9 have no
+    one-character digit, so they raise InvalidInputError and nothing is
+    written.
+    """
+    import numpy as np
+
+    labels = np.asarray(grid.labels)
+    if labels.size and (labels.min() < 1 or labels.max() > 9):
+        raise InvalidInputError(
+            f"region labels {grid.labels_present()} do not fit the one-digit format (1-9)")
     header = {
         "box": list(grid.box),
         "resolution": grid.resolution,
         "legend": {str(i): ("H_1" if i == 1 else f"H~_{i}") for i in grid.labels_present()},
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    for row in grid.labels:
-        lines.append("".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    raster = np.full((labels.shape[0], labels.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    raster[:, :-1] = labels + ord("0")
+    Path(path).write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + raster.tobytes())
 
 
 def write_k_cells(path, grid: RegionGrid) -> None:
@@ -263,11 +291,40 @@ def write_k_cells(path, grid: RegionGrid) -> None:
 
 
 def read_region_grid(path) -> RegionGrid:
-    text = Path(path).read_text().splitlines()
-    header = json.loads(text[0])
-    res = header["resolution"]
-    labels = np.array([[int(ch) for ch in row] for row in text[1 : res + 1]], dtype=np.int16)
-    return RegionGrid.from_labels(header["box"], res, labels)
+    """The grid of a region file, its K mask recomputed from the labels.
+
+    Raises InvalidInputError unless the header is a JSON object with a box
+    of four numbers and a resolution, followed by exactly ``resolution``
+    rows of ``resolution`` digits 1-9.
+    """
+    import numpy as np
+
+    from .potential import RegionGrid
+
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+        box, res = header["box"], header["resolution"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InvalidInputError(f"region file {path} has no valid header: {exc}") from None
+    if not (isinstance(box, list) and len(box) == 4
+            and all(isinstance(v, (int, float)) for v in box)):
+        raise InvalidInputError(f"region file {path}: box {box!r} is not four numbers")
+    rows = body.splitlines()
+    if not isinstance(res, int) or len(rows) != res:
+        raise InvalidInputError(f"region file {path} has {len(rows)} rows, "
+                                f"its header says resolution {res!r}")
+    for iy, row in enumerate(rows):
+        if len(row) != res:
+            raise InvalidInputError(f"region file {path}: row {iy} has {len(row)} cells, "
+                                    f"expected {res}")
+    # uint8 arithmetic wraps every byte below "0" above 9
+    labels = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(res, res) - ord("0")
+    bad = (labels < 1) | (labels > 9)
+    if bad.any():
+        iy, ix = np.argwhere(bad)[0].tolist()
+        raise InvalidInputError(f"region file {path}: cell ({iy}, {ix}) is not a digit 1-9")
+    return RegionGrid.from_labels(box, res, labels.astype(np.int16))
 
 
 # -- reports and manifests ----------------------------------------------------

@@ -1,7 +1,9 @@
 """Figure-grade SVG emission: zero scatter, level curves, branch points, regions.
 
 Pure text generation, no plotting dependency; output is deterministic
-(no timestamps, fixed formatting).
+(no timestamps, fixed formatting).  The region backdrop is one ``<rect>``
+per run of equal labels along a grid row; the runs come from numpy
+comparisons over the whole label array, and only the text is built per run.
 """
 
 from __future__ import annotations
@@ -40,22 +42,23 @@ class SvgFigure:
         res = grid.resolution
         cw = self.width / res
         ch = self.height / res
-        rows = []
-        for iy in range(res):
-            row = grid.labels[iy]
-            y = self.height - (iy + 1) * ch
-            ix = 0
-            while ix < res:
-                lab = row[ix]
-                run = 1
-                while ix + run < res and row[ix + run] == lab:
-                    run += 1
-                color = REGION_COLORS[(int(lab) - 1) % len(REGION_COLORS)]
-                rows.append(
-                    f'<rect x="{_fmt(ix * cw)}" y="{_fmt(y)}" width="{_fmt(run * cw)}" '
-                    f'height="{_fmt(ch)}" fill="{color}"/>'
-                )
-                ix += run
+        labels = np.asarray(grid.labels)
+        nrows, ncols = labels.shape
+        starts = np.ones(labels.shape, dtype=bool)
+        starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
+        iys, ixs = np.nonzero(starts)
+        # a run ends where the next one starts in the same row, else at the row's end
+        same_row = np.append(iys[1:] == iys[:-1], False)
+        ends = np.where(same_row, np.append(ixs[1:], 0), ncols)
+        shades = ((labels[iys, ixs].astype(np.int64) - 1) % len(REGION_COLORS)).tolist()
+        xs = [_fmt(k * cw) for k in range(ncols + 1)]
+        ys = [_fmt(self.height - (iy + 1) * ch) for iy in range(nrows)]
+        h = _fmt(ch)
+        rows = [
+            f'<rect x="{xs[ix]}" y="{ys[iy]}" width="{xs[end - ix]}" '
+            f'height="{h}" fill="{REGION_COLORS[shade]}"/>'
+            for iy, ix, end, shade in zip(iys.tolist(), ixs.tolist(), ends.tolist(), shades)
+        ]
         self.parts.append('<g shape-rendering="crispEdges">' + "".join(rows) + "</g>")
 
     def add_polyline(self, points: np.ndarray, color: str, width: float = 1.6,

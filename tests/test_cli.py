@@ -1,9 +1,15 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import hyperzeros
 from hyperzeros import serialize
 from hyperzeros.cli import main
 from hyperzeros.exact import ComplexRational
@@ -153,6 +159,20 @@ class TestRootsAndVerify:
         code = run("plot", "--out", tmp_path / "empty")
         assert code == 4
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--experiments", "kscore", "--n-list", 4),
+        ("plot", "--with-regions"),
+    ])
+    def test_truncated_regions_file_exit_two(self, sched_file, tmp_path, command):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("regions", "--schedule", sched_file, "--resolution", 80, "--out", out) == 0
+        regions = out / "regions.txt"
+        regions.write_text("".join(regions.read_text().splitlines(keepends=True)[:40]))
+        args = list(command) + (["--schedule", sched_file] if command[0] == "verify" else [])
+        assert run(*args, "--out", out) == 2
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, sched_file, tmp_path):
@@ -249,3 +269,52 @@ class TestConfigPrecedence:
             assert manifest["config"]["experiments"] == ["kscore"]
             assert (out / "report_kscore.json").exists()
             assert not (out / "report_distance.json").exists()
+
+
+class TestImports:
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_poly_roots_curve_run_without_numpy(self, sched_file, tmp_path):
+        script = f"""
+import sys
+from hyperzeros import serialize
+from hyperzeros.cli import main
+args = ["--schedule", {str(sched_file)!r}, "--out", {str(tmp_path / "out")!r}]
+assert main(["poly", "--n", "6"] + args) == 0
+assert main(["roots", "--n-list", "6", "--precision", "128"] + args) == 0
+assert main(["curve"] + args) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(self.SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "roots_n6.txt").exists()
+        assert (tmp_path / "out" / "branch_points.txt").exists()
+
+    # the package's public names by defining module
+    PUBLIC = {
+        "exact": ["ComplexRational"],
+        "hyppoly": ["HypPolynomial", "ParameterSchedule", "apply_hypergeometric_operator",
+                    "build_polynomial", "characteristic_roots", "is_general_type", "pochhammer"],
+        "rootfinding": ["RootCountingMeasure", "cauchy_transform_at", "find_roots",
+                        "log_potential_at", "vieta_check"],
+        "algcurve": ["BivariateCurve", "BranchPointSet", "branch_points", "branches_at",
+                     "build_curve", "verify_rational_branches"],
+        "potential": ["HarmonicSystem", "LevelCurve", "RegionGrid", "classify_regions",
+                      "harmonic_value_by_integration", "make_harmonic_system", "psi_value",
+                      "trace_conjectured_loop", "trace_level_curve"],
+        "experiments": ["cauchy_convergence", "k_set_score", "halfplane_restriction",
+                        "winding_number", "zero_curve_distance"],
+    }
+
+    def test_public_names_resolve_to_their_modules(self):
+        assert hyperzeros.__all__ == [name for names in self.PUBLIC.values() for name in names]
+        for module_name, names in self.PUBLIC.items():
+            module = importlib.import_module(f"hyperzeros.{module_name}")
+            for name in names:
+                assert getattr(hyperzeros, name) is getattr(module, name), name
+        with pytest.raises(AttributeError):
+            hyperzeros.not_a_public_name

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,13 +9,21 @@ from hyperzeros import serialize
 from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import ComplexRational
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
-from hyperzeros.potential import classify_regions, make_harmonic_system, trace_conjectured_loop
+from hyperzeros.potential import (
+    RegionGrid,
+    classify_regions,
+    make_harmonic_system,
+    trace_conjectured_loop,
+)
 from hyperzeros.rootfinding import find_roots
+from hyperzeros.svgfig import REGION_COLORS, SvgFigure
 
 CR = ComplexRational
 F = Fraction
 K1 = ParameterSchedule.loop_2f1(1)
 CONJ = ParameterSchedule.loop_2f1(CR(F(1, 2), -1))
+FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
+BOX = (-1.0, 2.0, -1.5, 1.5)
 
 
 class TestSchedule:
@@ -117,6 +126,131 @@ class TestRegions:
         serialize.write_k_cells(path, grid)
         pts = serialize.read_point_list(path)
         assert len(pts) == int(grid.kmask.sum())
+
+
+    @pytest.mark.parametrize("damage", ["short row", "long row", "non-digit", "zero",
+                                        "missing rows", "extra row", "header", "box"])
+    def test_malformed_file_rejected(self, tmp_path, damage):
+        grid = classify_regions(make_harmonic_system(K1), BOX, 16)
+        path = tmp_path / "regions.txt"
+        serialize.write_region_grid(path, grid)
+        lines = path.read_text().splitlines()
+        if damage == "short row":
+            lines[3] = lines[3][:-1]
+        elif damage == "long row":
+            lines[3] += "1"
+        elif damage == "non-digit":
+            lines[5] = lines[5][:7] + "x" + lines[5][8:]
+        elif damage == "zero":
+            lines[5] = "0" + lines[5][1:]
+        elif damage == "missing rows":
+            lines = lines[:9]
+        elif damage == "extra row":
+            lines.append(lines[-1])
+        elif damage == "header":
+            lines[0] = lines[0][:-1]
+        else:
+            lines[0] = lines[0].replace("[-1.0, 2.0, -1.5, 1.5]", "[-1.0, 2.0, -1.5]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError):
+            serialize.read_region_grid(path)
+
+    @pytest.mark.parametrize("bad", [10, 0])
+    def test_label_without_one_digit_rejected(self, tmp_path, bad):
+        # with 10 or more branches a label needs two characters
+        labels = np.ones((4, 4), dtype=np.int16)
+        labels[2, 1] = bad
+        grid = RegionGrid.from_labels(BOX, 4, labels)
+        path = tmp_path / "regions.txt"
+        with pytest.raises(InvalidInputError):
+            serialize.write_region_grid(path, grid)
+        assert not path.exists()
+
+
+def reference_write(path, grid):
+    """The per-cell region writer: one ``str(int(v))`` per cell."""
+    header = {
+        "box": list(grid.box),
+        "resolution": grid.resolution,
+        "legend": {str(i): ("H_1" if i == 1 else f"H~_{i}") for i in grid.labels_present()},
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    for row in grid.labels:
+        lines.append("".join(str(int(v)) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_read_labels(path):
+    """The per-cell region reader: one ``int(ch)`` per cell."""
+    text = path.read_text().splitlines()
+    res = json.loads(text[0])["resolution"]
+    return np.array([[int(ch) for ch in row] for row in text[1 : res + 1]], dtype=np.int16)
+
+
+def reference_raster(fig, grid):
+    """The per-cell region backdrop: each run found by scanning its cells."""
+    from hyperzeros.svgfig import _fmt
+
+    res = grid.resolution
+    cw = fig.width / res
+    ch = fig.height / res
+    rows = []
+    for iy in range(res):
+        row = grid.labels[iy]
+        y = fig.height - (iy + 1) * ch
+        ix = 0
+        while ix < res:
+            lab = row[ix]
+            run = 1
+            while ix + run < res and row[ix + run] == lab:
+                run += 1
+            color = REGION_COLORS[(int(lab) - 1) % len(REGION_COLORS)]
+            rows.append(
+                f'<rect x="{_fmt(ix * cw)}" y="{_fmt(y)}" width="{_fmt(run * cw)}" '
+                f'height="{_fmt(ch)}" fill="{color}"/>'
+            )
+            ix += run
+    return ['<g shape-rendering="crispEdges">' + "".join(rows) + "</g>"]
+
+
+class TestWholeArrayRegions:
+    """The whole-array region writer, reader and SVG backdrop must equal the
+    per-cell code they replace, kept above as references."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return {"K1": make_harmonic_system(K1), "FIG5": make_harmonic_system(FIG5)}
+
+    def check(self, tmp_path, grid):
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        serialize.write_region_grid(ours, grid)
+        reference_write(ref, grid)
+        assert ours.read_bytes() == ref.read_bytes()
+        back = serialize.read_region_grid(ours)
+        assert back.labels.dtype == grid.labels.dtype
+        assert np.array_equal(back.labels, reference_read_labels(ref))
+        assert np.array_equal(back.labels, grid.labels)
+        assert np.array_equal(back.kmask, grid.kmask)
+        assert back.box == grid.box and back.resolution == grid.resolution
+        for width in (720, 333):
+            fig, ref_fig = SvgFigure(grid.box, width), SvgFigure(grid.box, width)
+            fig.add_region_raster(back)
+            assert fig.parts == reference_raster(ref_fig, grid)
+
+    @pytest.mark.parametrize("family", ["K1", "FIG5"])
+    @pytest.mark.parametrize("res", [2, 7, 64, 400])
+    def test_matches_per_cell_code(self, tmp_path, systems, family, res):
+        self.check(tmp_path, classify_regions(systems[family], BOX, res))
+
+    def test_rows_of_single_runs(self, tmp_path):
+        # every row one label, so every row is one run spanning the grid
+        labels = np.repeat(np.arange(1, 10, dtype=np.int16)[:, None], 9, axis=1)
+        self.check(tmp_path, RegionGrid.from_labels(BOX, 9, labels))
+
+    def test_all_labels_and_wrapped_colors(self, tmp_path):
+        # labels 7-9 reuse the colors of 1-3
+        labels = (np.arange(25, dtype=np.int16).reshape(5, 5) // 2) % 9 + 1
+        self.check(tmp_path, RegionGrid.from_labels(BOX, 5, labels))
 
 
 class TestManifest:
