@@ -17,6 +17,12 @@ into regions whose boundary is the discrete singular set K.
 Arg is the principal branch in (-pi, pi]; the cut on the negative real axis
 is treated as a barrier: traces stop there and the region grid never
 compares labels across it.
+
+A level-curve trace marches from its seed in both directions, and each march
+stops for one reason: "closed" (back at the seed), "saddle" (at a critical
+point of the difference), "cut" (at the Arg-cut barrier) or "end" (the step
+stalls, |z| exceeds 1e6, or ``max_points`` is reached).  ``LevelCurve``
+records the first two as ``closed`` and the third as ``hit_cut``.
 """
 
 from __future__ import annotations
@@ -153,22 +159,10 @@ class HarmonicSystem:
             out = -complex(self.schedule.alphas[i - 1]) / z
         return out if out.shape else complex(out)
 
-    def branch_derivative(self, i: int, z):
-        self._require_closed("closed-form branch derivatives")
-        z = complex(z)
-        if i == 1:
-            return -1.0 / (z - 1.0) ** 2
-        return complex(self.schedule.alphas[i - 1]) / z ** 2
-
     def difference(self, pair, z):
         """H~_i(z) - H~_j(z) for the pair (i, j)."""
         i, j = pair
         return self.shifted(i, z) - self.shifted(j, z)
-
-    def difference_gradient(self, pair, z):
-        """Gradient of the difference as a complex number conj(f_i - f_j)."""
-        i, j = pair
-        return np.conjugate(self.branch_value(i, z) - self.branch_value(j, z))
 
     def critical_points(self, pair):
         """Known critical points of the pair difference (closed mode).
@@ -177,14 +171,9 @@ class HarmonicSystem:
         two rational branches i, j >= 2 have constant numerator and no
         finite critical points.
         """
-        i, j = pair
-        pts = []
-        if self.mode == "closed":
-            if i == 1 and j >= 2:
-                pts.append(self.branch_point_list[j - 2])
-            elif j == 1 and i >= 2:
-                pts.append(self.branch_point_list[i - 2])
-        return pts
+        if self.mode == "closed" and min(pair) == 1 < max(pair):
+            return [self.branch_point_list[max(pair) - 2]]
+        return []
 
 
 def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> HarmonicSystem:
@@ -465,7 +454,9 @@ class CriticalPoint:
 
 
 class _ClosedLevelFunction:
-    """F = H~_i - H~_j and its gradient from closed forms."""
+    """F = H~_i - H~_j from the closed forms, with its gradient as the complex
+    number conj(f_i - f_j) and its second derivative f_i' - f_j', where
+    f_1' = -1/(z-1)^2 and f_i' = alpha_i/z^2."""
 
     def __init__(self, sys, pair):
         self.sys = sys
@@ -475,11 +466,15 @@ class _ClosedLevelFunction:
         return float(self.sys.difference(self.pair, z))
 
     def gradient(self, z):
-        return complex(self.sys.difference_gradient(self.pair, z))
+        i, j = self.pair
+        return complex(np.conjugate(self.sys.branch_value(i, z) - self.sys.branch_value(j, z)))
 
     def second(self, z):
-        i, j = self.pair
-        return self.sys.branch_derivative(i, z) - self.sys.branch_derivative(j, z)
+        z = complex(z)
+        alphas = self.sys.schedule.alphas
+        di, dj = (-1.0 / (z - 1.0) ** 2 if k == 1 else complex(alphas[k - 1]) / z ** 2
+                  for k in self.pair)
+        return di - dj
 
     def commit(self, z):
         pass
@@ -575,10 +570,14 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     """Predictor-corrector trace of the implicit curve H~_i - H~_j = 0.
 
     The seed is first Newton-corrected onto the curve; the trace then
-    marches both directions, declares the curve closed on returning within
-    step/2 of the start, stops at critical points (reporting the saddle and
-    its four outgoing directions) and at the Arg-cut barrier.  Every emitted
-    point has implicit residual below ``TRACE_RESIDUAL_TOL``.
+    marches forward and, unless the forward march closes, backward.  Each
+    march stops for one reason: "closed" on returning within step/2 of the
+    start, "saddle" at a critical point (reported with its four outgoing
+    directions), "cut" at the Arg-cut barrier, or "end" when the step
+    stalls below step/4096, |z| exceeds 1e6 or ``max_points`` is reached.
+    The curve is closed when a march closes or both marches end at the same
+    saddle, and ``hit_cut`` when either march reached the cut.  Every
+    emitted point has implicit residual below ``TRACE_RESIDUAL_TOL``.
 
     In integral mode the curve traced is the level set of H_i - H_j through
     the seed (offsets are a closed-form construct).
@@ -600,23 +599,16 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
         )
     fun.commit(z0)
 
-    # gradient scale for the critical-point threshold: median over a local sample
-    sample = [
-        z0 + 0.5 * (k1 + 1j * k2) / 4
-        for k1 in range(-4, 5)
-        for k2 in range(-4, 5)
-        if (k1, k2) != (0, 0)
-    ]
-    mags = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in sample:
-            try:
-                g = abs(fun.gradient(s)) if sys.mode == "closed" else 1.0
-            except (InvalidInputError, ZeroDivisionError):
-                continue
-            if np.isfinite(g):
-                mags.append(g)
-    grad_scale = float(np.median(mags)) if mags else 1.0
+    # critical-point threshold: in closed mode relative to the median gradient
+    # over a local sample, in integral mode absolute
+    grad_scale = 1.0
+    if sys.mode == "closed":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mags = [abs(fun.gradient(z0 + 0.5 * (k1 + 1j * k2) / 4))
+                    for k1 in range(-4, 5) for k2 in range(-4, 5) if (k1, k2) != (0, 0)]
+        mags = [g for g in mags if np.isfinite(g)]
+        if mags:
+            grad_scale = float(np.median(mags))
     crit_tol = 1e-6 * grad_scale
 
     g0 = fun.gradient(z0)
@@ -624,21 +616,21 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
         raise SaddleAtSeedError(z0, _saddle_directions(fun.second(z0)))
 
     def march(direction_sign):
+        """(points, residuals, criticals, stop) of one march from z0."""
         pts = []
         res = []
         criticals = []
-        hit_cut = False
-        closed = False
         z = z0
         tangent = direction_sign * 1j * g0 / abs(g0)
         h = step
         while len(pts) < max_points:
-            candidate = None
-            for _ in range(60):
+            # halve the step until the corrected point lies within 3h and the
+            # tangent turns at most 0.45; h <= step, so at most 13 halvings
+            # reach step/4096, where the loop stalls or accepts the turn
+            while True:
                 zp = z + h * tangent
                 if _crosses_cut(z, zp):
-                    hit_cut = True
-                    break
+                    return pts, res, criticals, "cut"
                 try:
                     zc, _f = _newton_correct(fun, zp)
                 except BranchCollisionError:
@@ -648,11 +640,11 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if zc is None or abs(zc - z) > 3 * h:
                     h /= 2
                     if h < step / 4096:
-                        break
+                        return pts, res, criticals, "end"
                     continue
                 g = fun.gradient(zc)
                 if abs(g) < crit_tol:
-                    candidate = ("saddle", zc, g)
+                    saddle = zc
                     break
                 t_new = 1j * g / abs(g)
                 if (t_new.conjugate() * tangent).real < 0:
@@ -661,25 +653,13 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if turn > 0.45 and h > step / 4096:
                     h /= 2
                     continue
-                candidate = ("ok", zc, g, t_new, turn)
+                saddle = next((c for c in known_criticals if abs(zc - c) < max(h, step)), None)
                 break
-            if hit_cut or candidate is None:
-                break
-            if candidate[0] == "saddle":
-                zc = candidate[1]
-                criticals.append(CriticalPoint(zc, _saddle_directions(fun.second(zc))))
-                pts.append(zc)
-                res.append(fun.value(zc))
-                break
-            _, zc, g, t_new, turn = candidate
-            near_crit = next((c for c in known_criticals if abs(zc - c) < max(h, step)), None)
-            if near_crit is not None and abs(zc - near_crit) < max(h, step):
-                criticals.append(
-                    CriticalPoint(near_crit, _saddle_directions(fun.second(near_crit)))
-                )
-                pts.append(near_crit)
-                res.append(fun.value(near_crit))
-                break
+            if saddle is not None:
+                criticals.append(CriticalPoint(saddle, _saddle_directions(fun.second(saddle))))
+                pts.append(saddle)
+                res.append(fun.value(saddle))
+                return pts, res, criticals, "saddle"
             fun.commit(zc)
             pts.append(zc)
             res.append(fun.value(zc))
@@ -688,37 +668,24 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
             if turn < 0.1 and h < step:
                 h = min(step, 2 * h)
             if len(pts) >= 10 and abs(z - z0) < step / 2:
-                closed = True
-                break
+                return pts, res, criticals, "closed"
             if abs(z) > 1e6:
                 break
-        return pts, res, criticals, hit_cut, closed
+        return pts, res, criticals, "end"
 
-    fw_pts, fw_res, fw_crit, fw_cut, fw_closed = march(+1)
-    if fw_closed:
-        points = [z0] + fw_pts
-        residuals = [f0] + fw_res
-        criticals = fw_crit
-        hit_cut = fw_cut
-        closed = True
-    else:
-        bw_pts, bw_res, bw_crit, bw_cut, bw_closed = march(-1)
-        points = list(reversed(bw_pts)) + [z0] + fw_pts
-        residuals = list(reversed(bw_res)) + [f0] + fw_res
-        criticals = bw_crit + fw_crit
-        hit_cut = fw_cut or bw_cut
-        closed = bw_closed
-        # both marches terminating at the same saddle close the loop there
-        if not closed and fw_crit and bw_crit:
-            if abs(fw_crit[-1].location - bw_crit[-1].location) < 2 * step:
-                closed = True
+    fw_pts, fw_res, fw_crit, fw_stop = march(+1)
+    bw_pts, bw_res, bw_crit, bw_stop = march(-1) if fw_stop != "closed" else ([], [], [], None)
+    # both marches ending at the same saddle close the loop there
+    closed = "closed" in (fw_stop, bw_stop) or (
+        fw_stop == bw_stop == "saddle"
+        and abs(fw_crit[0].location - bw_crit[0].location) < 2 * step)
     return LevelCurve(
         pair=tuple(pair),
-        points=np.array(points, dtype=complex),
-        residuals=np.array(residuals, dtype=float),
+        points=np.array(bw_pts[::-1] + [z0] + fw_pts, dtype=complex),
+        residuals=np.array(bw_res[::-1] + [f0] + fw_res, dtype=float),
         closed=closed,
-        critical_points=tuple(criticals),
-        hit_cut=hit_cut,
+        critical_points=tuple(bw_crit + fw_crit),
+        hit_cut="cut" in (fw_stop, bw_stop),
     )
 
 
@@ -728,9 +695,8 @@ def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction) -> complex:
     Bisects the sign change of F along the ray; origin is typically a
     logarithmic singularity of one branch so F covers both signs.
     """
-    fun = _ClosedLevelFunction(sys, pair) if sys.mode == "closed" else None
-    if fun is None:
-        raise InvalidInputError("ray seeding needs closed-form mode")
+    sys._require_closed("ray seeding")
+    fun = _ClosedLevelFunction(sys, pair)
     d = complex(direction)
     d /= abs(d)
     o = complex(origin)

@@ -302,7 +302,7 @@ def _certificates(c, z):
     return residuals, forwards
 
 
-def _solve_nonzero(c, precision_bits, max_precision_bits):
+def _solve_nonzero(c, precision_bits):
     """Aberth on a ladder of working precisions for a list with c[0] != 0.
 
     Rung 0, the ``seed`` record, starts from the Newton-polygon circles at
@@ -357,17 +357,17 @@ def _solve_nonzero(c, precision_bits, max_precision_bits):
                       "forward_ok": fwd_ok})
         if left == 0 and res_ok and fwd_ok:
             return zr, residuals, forwards, prec, trace
-        if prec >= max_precision_bits:
+        if prec >= MAX_PRECISION:
             raise NonConvergenceError(
                 f"root finding did not certify at {prec} bits "
                 f"(active={left}, residuals_ok={res_ok}, forward_ok={fwd_ok})",
                 trace=trace,
             )
-        prec = min(2 * prec, max_precision_bits)
+        prec = min(2 * prec, MAX_PRECISION)
         trace.append({"phase": "double-precision", "target_bits": prec})
 
 
-def solve_all_roots(coeffs, precision_bits, max_precision_bits=MAX_PRECISION):
+def solve_all_roots(coeffs, precision_bits):
     """Find all roots of sum_k coeffs[k] z^k with certification.
 
     ``coeffs`` holds exact ComplexRationals or already-rounded mpcs.  Each
@@ -391,7 +391,7 @@ def solve_all_roots(coeffs, precision_bits, max_precision_bits=MAX_PRECISION):
         z, residuals, forwards, prec, trace = [], [], [], precision_bits, []
     else:
         z, residuals, forwards, prec, trace = _solve_nonzero(
-            coeffs[zeros_at_origin:], precision_bits, max_precision_bits
+            coeffs[zeros_at_origin:], precision_bits
         )
     with mp.workprec(prec):
         out = [mp.mpc(0)] * zeros_at_origin + [mp.mpc(zi) for zi in z]
@@ -511,12 +511,11 @@ def _find_clusters(roots, precision_bits):
     return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
-def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION,
-               max_precision_bits: int = MAX_PRECISION) -> RootCountingMeasure:
+def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION) -> RootCountingMeasure:
     """All zeros of ``p`` with multiplicity, as a root-counting measure.
 
     Deterministic for fixed inputs.  Raises NonConvergenceError (with the
-    iteration trace) if certification fails even at ``max_precision_bits``.
+    iteration trace) if certification fails even at MAX_PRECISION bits.
     """
     if precision_bits < 64:
         raise InvalidInputError("precision_bits must be at least 64")
@@ -524,9 +523,7 @@ def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION,
         raise InvalidInputError("cannot root-find the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("constant polynomial has no roots")
-    roots, residuals, forwards, prec, trace = solve_all_roots(
-        p.coeffs, precision_bits, max_precision_bits
-    )
+    roots, residuals, forwards, prec, trace = solve_all_roots(p.coeffs, precision_bits)
     return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n, trace)
 
 

@@ -43,6 +43,24 @@ def _mpf_str(x, digits: int) -> str:
     return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
 
 
+def _row(path, lineno: int, line: str, *types, sep=None) -> list:
+    """The fields of data row ``lineno`` of ``path``, each converted by its
+    entry of ``types``.
+
+    A row with another number of fields, or with a field that does not
+    convert, as a truncated or damaged file has, raises InvalidInputError
+    naming the file and line.
+    """
+    fields = line.split(sep)
+    if len(fields) == len(types):
+        try:
+            return [convert(f) for convert, f in zip(types, fields)]
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInputError(
+        f"{path}, line {lineno}: malformed row, {len(types)} numbers expected: {line[:60]!r}")
+
+
 # -- schedules ----------------------------------------------------------------
 
 
@@ -108,13 +126,13 @@ def write_polynomial(path, p: HypPolynomial) -> None:
 def read_polynomial_coeffs(path):
     """The exact coefficients back from a polynomial export."""
     coeffs = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line or line.startswith("#"):
             continue
-        k, re, im = line.split()
-        if int(k) != len(coeffs):
+        k, re, im = _row(path, lineno, line, int, Fraction, Fraction)
+        if k != len(coeffs):
             raise InvalidInputError(f"non-contiguous coefficient index in {path}")
-        coeffs.append(ComplexRational(Fraction(re), Fraction(im)))
+        coeffs.append(ComplexRational(re, im))
     return coeffs
 
 
@@ -145,9 +163,8 @@ def read_roots(path) -> RootCountingMeasure:
     """
     precision = None
     source_n = None
-    roots = []
-    residuals = []
-    for line in Path(path).read_text().splitlines():
+    numbered = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             if "precision_bits" in line:
                 parts = line.lstrip("# ").split()
@@ -155,16 +172,14 @@ def read_roots(path) -> RootCountingMeasure:
                 precision = int(fields["precision_bits"])
                 source_n = int(fields.get("n", 0))
             continue
-        if not line:
-            continue
-        re_s, im_s, res_s = line.split()
-        roots.append((re_s, im_s))
-        residuals.append(res_s)
+        if line:
+            numbered.append((lineno, line))
     if precision is None:
         raise InvalidInputError(f"roots file {path} lacks a precision header")
     with mp.workprec(precision):
-        zs = [mp.mpc(mp.mpf(a), mp.mpf(b)) for a, b in roots]
-        rs = [mp.mpf(r) for r in residuals]
+        rows = [_row(path, lineno, line, mp.mpf, mp.mpf, mp.mpf) for lineno, line in numbered]
+        zs = [mp.mpc(a, b) for a, b, _ in rows]
+        rs = [r for _, _, r in rows]
     return RootCountingMeasure.from_roots(
         zs, precision, rs, [mp.inf] * len(zs), source_n or len(zs)
     )
@@ -194,11 +209,10 @@ def read_point_list(path) -> np.ndarray:
     import numpy as np
 
     pts = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line or line.startswith("#"):
             continue
-        re_s, im_s = line.split()[:2]
-        pts.append(complex(float(re_s), float(im_s)))
+        pts.append(complex(*_row(path, lineno, line, float, float)))
     return np.array(pts)
 
 
@@ -230,7 +244,7 @@ def read_level_curve(path) -> LevelCurve:
     pair = (0, 0)
     closed = False
     hit_cut = False
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             toks = line.split()
             if "pair" in toks:
@@ -242,9 +256,9 @@ def read_level_curve(path) -> LevelCurve:
             continue
         if not line or line.startswith("index"):
             continue
-        _k, re_s, im_s, res_s = line.split(",")
-        points.append(complex(float(re_s), float(im_s)))
-        residuals.append(float(res_s))
+        _k, re, im, res = _row(path, lineno, line, int, float, float, float, sep=",")
+        points.append(complex(re, im))
+        residuals.append(res)
     return LevelCurve(
         pair=pair,
         points=np.array(points),

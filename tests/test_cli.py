@@ -173,6 +173,25 @@ class TestRootsAndVerify:
         args = list(command) + (["--schedule", sched_file] if command[0] == "verify" else [])
         assert run(*args, "--out", out) == 2
 
+    @pytest.mark.parametrize("damaged, sep", [("roots_n4.txt", " "), ("level_1_2.csv", ",")])
+    @pytest.mark.parametrize("command", [
+        ("verify", "--experiments", "distance", "--n-list", 4),
+        ("plot",),
+    ])
+    def test_truncated_data_file_exit_two(self, sched_file, tmp_path, capsys, command,
+                                          damaged, sep):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("levels", "--schedule", sched_file, "--out", out) == 0
+        path = out / damaged
+        text = path.read_text()
+        # cut about half way, inside a row
+        path.write_text(text[:text.index(sep, len(text) // 2)])
+        args = list(command) + (["--schedule", sched_file] if command[0] == "verify" else [])
+        assert run(*args, "--out", out) == 2
+        assert f"{damaged}, line " in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, sched_file, tmp_path):

@@ -192,6 +192,20 @@ class TestTrace:
         rhs = (abs(p2) ** eta * abs(1 - p2) * math.exp(-zeta * np.angle(p2)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    @pytest.mark.parametrize("seed, max_points, expected", [
+        # the left lobe's marches end at the saddle 1/2 and at the cut
+        (-0.3 + 0.3j, 50000, (92, False, True, 1)),
+        # the right lobe closes at the saddle 1/2, reached by both marches
+        (3 + 1j, 50000, (185, True, False, 2)),
+        # five points each way and the seed
+        (3 + 1j, 5, (11, False, False, 0)),
+    ], ids=["cut", "saddle", "max-points"])
+    def test_stop_reasons(self, sys_k1, seed, max_points, expected):
+        curve = trace_level_curve(sys_k1, (1, 2), seed, step=0.01, max_points=max_points)
+        assert (len(curve), curve.closed, curve.hit_cut, len(curve.critical_points)) == expected
+        assert all(c.location == 0.5 for c in curve.critical_points)
+        assert np.max(np.abs(curve.residuals)) < 1e-10
+
     def test_same_index_rejected(self, sys_k1):
         with pytest.raises(InvalidInputError):
             trace_level_curve(sys_k1, (1, 1), 1.2)

@@ -14,6 +14,7 @@ from hyperzeros.potential import (
     classify_regions,
     make_harmonic_system,
     trace_conjectured_loop,
+    trace_level_curve,
 )
 from hyperzeros.rootfinding import find_roots
 from hyperzeros.svgfig import REGION_COLORS, SvgFigure
@@ -108,6 +109,41 @@ class TestLevelCurve:
         assert back.closed == curve.closed
         assert len(back.points) == len(curve.points)
         assert np.max(np.abs(back.points - curve.points)) < 1e-15
+
+    def test_roundtrip_hit_cut(self, tmp_path):
+        # the left lobe of the lemniscate, whose trace stops at the Arg cut
+        curve = trace_level_curve(make_harmonic_system(K1), (1, 2), -0.3 + 0.3j, step=0.01)
+        assert curve.hit_cut and not curve.closed
+        path = tmp_path / "level.csv"
+        serialize.write_level_curve(path, curve)
+        back = serialize.read_level_curve(path)
+        assert (back.pair, back.closed, back.hit_cut) == ((1, 2), False, True)
+        assert np.array_equal(back.points, curve.points)
+
+
+class TestTruncatedRows:
+    """Each row reader rejects a row cut short, naming the file and line."""
+
+    @pytest.mark.parametrize("reader, write, line", [
+        (serialize.read_polynomial_coeffs,
+         lambda path: serialize.write_polynomial(path, build_polynomial(K1, 4)), "2 -3/"),
+        (serialize.read_roots,
+         lambda path: serialize.write_roots(path, find_roots(build_polynomial(K1, 4), 128), K1),
+         "0.5"),
+        (serialize.read_point_list,
+         lambda path: path.write_text("# branch points: re im\n0.5 0.25\n"), "0.5"),
+        (serialize.read_level_curve,
+         lambda path: serialize.write_level_curve(
+             path, trace_conjectured_loop(make_harmonic_system(K1), 2, step=0.02)),
+         "3,0.75,0.1"),
+    ], ids=["polynomial", "roots", "point-list", "level-curve"])
+    def test_cut_row_rejected(self, tmp_path, reader, write, line):
+        path = tmp_path / "data.txt"
+        write(path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:4] + [line]) + "\n")
+        with pytest.raises(InvalidInputError, match=f"data.txt, line {min(len(rows), 4) + 1}"):
+            reader(path)
 
 
 class TestRegions:
