@@ -1,14 +1,18 @@
 """Certified multiprecision zeros of exact polynomials.
 
-All zeros are found simultaneously by Ehrlich-Aberth iteration seeded on
-Newton-polygon circles (radii from the coefficient-based root-magnitude
-bound).  Coefficients of this polynomial family span hundreds of orders
-of magnitude, so the target working precision carries the coefficient
-spread on top of the requested precision.  The iteration climbs a ladder
-of working precisions towards that target, each rung starting from the
-previous rung's iterates, so the global convergence happens at low
-precision (the adaptive-precision Aberth of MPSolve; Bini & Robol,
-J. Comput. Appl. Math. 272, 2014).  The sweeps run in fixed point on
+All zeros are found simultaneously by Ehrlich-Aberth iteration.  For a
+two-slope degenerate schedule ``find_roots`` seeds it at the mass quantiles
+of the limit loop the zeros cluster on (``_loop_seeds``, in cmath; starting
+points near the roots, after Bini, Numer. Algorithms 13, 1996); every other
+input is seeded on Newton-polygon circles (radii from the coefficient-based
+root-magnitude bound).  Coefficients of this polynomial family span
+hundreds of orders of magnitude, so the target working precision carries
+the coefficient spread on top of the requested precision.  The iteration
+climbs a ladder of working precisions towards that target, rung 0
+starting from the seeds and each later rung from the previous rung's
+iterates, so the global convergence happens at low precision (the
+adaptive-precision Aberth of MPSolve; Bini & Robol, J. Comput. Appl.
+Math. 272, 2014).  The sweeps run in fixed point on
 Gaussian integers (CPython ints) after a block exponent scales the
 coefficients, and stop at the noise floor of a floating-point evaluation
 at the rung's precision.  Every root is then certified a posteriori in
@@ -25,6 +29,7 @@ polynomials.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,6 +146,82 @@ def _newton_polygon_seeds(coeffs, degree):
             th = 2.0 * math.pi * j / m + 0.4 + float(e)
             seeds.append(mp.mpc(r * math.cos(th), r * math.sin(th)))
     return seeds
+
+
+def _loop_seeds(p: HypPolynomial):
+    """n seeds at the mass quantiles of the limit loop, or None.
+
+    For a two-slope degenerate schedule, 2F1(-n, alpha n + c; alpha n + c' + 1; z),
+    the zeros go to the loop |G(z)| = |G(z*)| around z = 1, where
+    G(z) = (z - 1) z^alpha (principal branch) and z* = alpha/(1 + alpha) is
+    the saddle of Phi = log G at which the loop meets the lobe around 0.
+    The loop carries the density |d Im Phi|/2 pi, so the seeds are the n
+    points with arg G = arg G(z*) + 2 pi (k + 1/2)/n.  The walk starts at
+    the loop's crossing x > 1 of the real axis, found by bisection on
+    log|G(x)|, and follows arg G up to the last quantile before the saddle
+    and down to the first one after it, by Newton on log G in steps of at
+    most 0.1 in arg G.  It stops half a quantile short of the saddle, so no
+    step crosses onto the lobe around 0.
+
+    None, so that the Newton polygon seeds the solve, for every other
+    schedule (decided first), a degree below n, a zero constant term, alpha
+    in {0, -1}, a failed bisection or Newton solve, and a seed polygon that
+    does not wind once around 1 and zero times around 0.
+    """
+    s = p.schedule
+    if s.A != 2 or not s.is_degenerate:
+        return None
+    n = p.degree
+    alpha = complex(s.alphas[1])
+    if n != p.n or not p.coeffs[0] or alpha in (0, -1):
+        return None
+    two_pi = 2 * math.pi
+
+    def log_g(z):
+        return cmath.log(z - 1) + alpha * cmath.log(z)
+
+    def on_loop(z, t):
+        # Newton on log G(z) = level + i t, arg G taken modulo 2 pi
+        for _ in range(40):
+            w = log_g(z) - complex(level, t)
+            w = complex(w.real, math.remainder(w.imag, two_pi))
+            if abs(w) < 1e-13:
+                return z
+            z -= w / (1 / (z - 1) + alpha / z)
+        raise ValueError("no Newton convergence on the loop")
+
+    try:
+        saddle = log_g(alpha / (1 + alpha))
+        level = saddle.real
+        lo, hi = 1.0, 2.0
+        while math.log(hi - 1) + alpha.real * math.log(hi) < level:
+            lo, hi = hi, 2 * hi
+            if hi > 2.0 ** 64:
+                return None
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if math.log(mid - 1) + alpha.real * math.log(mid) < level:
+                lo = mid
+            else:
+                hi = mid
+        # the crossing's position along the loop: its arg G less the saddle's
+        u = (alpha.imag * math.log(hi) - saddle.imag) % two_pi
+        quantiles = [two_pi * (k + 0.5) / n for k in range(n)]
+        split = sum(1 for q in quantiles if q < u)
+        seeds = [None] * n
+        for ks in (range(split, n), range(split - 1, -1, -1)):
+            z, pos = complex(hi), u
+            for k in ks:
+                steps = math.ceil(abs(quantiles[k] - pos) / 0.1)
+                for j in range(1, steps + 1):
+                    z = on_loop(z, saddle.imag + pos + (quantiles[k] - pos) * j / steps)
+                seeds[k], pos = z, quantiles[k]
+        windings = [
+            round(sum(cmath.phase((seeds[k] - q) / (seeds[k - 1] - q)) for k in range(n)) / two_pi)
+            for q in (1, 0)
+        ]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return seeds if windings == [1, 0] else None
 
 
 def _horner(c, ca, cp, z):
@@ -302,11 +383,12 @@ def _certificates(c, z):
     return residuals, forwards
 
 
-def _solve_nonzero(c, precision_bits):
+def _solve_nonzero(c, precision_bits, seeds=None):
     """Aberth on a ladder of working precisions for a list with c[0] != 0.
 
-    Rung 0, the ``seed`` record, starts from the Newton-polygon circles at
-    max(96, spread + 64) bits; every later rung reruns the same sweeps from
+    Rung 0, the ``seed`` record, starts at max(96, spread + 64) bits from
+    ``seeds`` when given (rule ``loop``), else from the Newton-polygon
+    circles (rule ``polygon``); every later rung reruns the same sweeps from
     the previous rung's iterates at twice the precision, or at the target
     prec + spread + 64 once that is within a factor of 3.  Every rung has
     the same sweep cap, 120 + 2 degree; a rung that reaches it hands its
@@ -335,9 +417,13 @@ def _solve_nonzero(c, precision_bits):
             with mp.workprec(wp):
                 cw = [to_big_complex(ck, wp) for ck in c]
                 if phase == "seed":
-                    z = _newton_polygon_seeds(cw, degree)
+                    z = (_newton_polygon_seeds(cw, degree) if seeds is None
+                         else [to_big_complex(s, wp) for s in seeds])
                 z, sweeps, left = _aberth_phase(cw, z, wp, spread, cap=120 + 2 * degree)
-            trace.append({"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left})
+            record = {"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left}
+            if phase == "seed":
+                record["rule"] = "polygon" if seeds is None else "loop"
+            trace.append(record)
             # the target rung runs even when the seed already works at or above it
             if phase == "rung" and wp == target:
                 break
@@ -367,7 +453,7 @@ def _solve_nonzero(c, precision_bits):
         trace.append({"phase": "double-precision", "target_bits": prec})
 
 
-def solve_all_roots(coeffs, precision_bits):
+def solve_all_roots(coeffs, precision_bits, seeds=None):
     """Find all roots of sum_k coeffs[k] z^k with certification.
 
     ``coeffs`` holds exact ComplexRationals or already-rounded mpcs.  Each
@@ -375,6 +461,8 @@ def solve_all_roots(coeffs, precision_bits):
     the accuracy of rounded input caps what can be certified.  Zero low
     coefficients give exact roots at the origin with zero bounds; the
     remaining roots come from the list with those coefficients stripped.
+    ``seeds``, when given, are the rung-0 starting points of those remaining
+    roots, one each, in place of the Newton-polygon circles.
 
     Returns (roots, residuals, forwards, precision_used, trace), rounded to
     ``precision_used`` bits and sorted lexicographically by (re, im).
@@ -387,11 +475,14 @@ def solve_all_roots(coeffs, precision_bits):
     zeros_at_origin = 0
     while zeros_at_origin < degree and not coeffs[zeros_at_origin]:
         zeros_at_origin += 1
+    if seeds is not None and len(seeds) != degree - zeros_at_origin:
+        raise InvalidInputError(
+            f"{len(seeds)} seeds for {degree - zeros_at_origin} nonzero roots")
     if zeros_at_origin == degree:
         z, residuals, forwards, prec, trace = [], [], [], precision_bits, []
     else:
         z, residuals, forwards, prec, trace = _solve_nonzero(
-            coeffs[zeros_at_origin:], precision_bits
+            coeffs[zeros_at_origin:], precision_bits, seeds
         )
     with mp.workprec(prec):
         out = [mp.mpc(0)] * zeros_at_origin + [mp.mpc(zi) for zi in z]
@@ -514,6 +605,9 @@ def _find_clusters(roots, precision_bits):
 def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION) -> RootCountingMeasure:
     """All zeros of ``p`` with multiplicity, as a root-counting measure.
 
+    Rung 0 of the solve starts on the limit loop (``_loop_seeds``) for a
+    two-slope degenerate schedule and on the Newton-polygon circles
+    otherwise; the trace's ``seed`` record names the rule that ran.
     Deterministic for fixed inputs.  Raises NonConvergenceError (with the
     iteration trace) if certification fails even at MAX_PRECISION bits.
     """
@@ -523,7 +617,8 @@ def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION) -> Roo
         raise InvalidInputError("cannot root-find the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("constant polynomial has no roots")
-    roots, residuals, forwards, prec, trace = solve_all_roots(p.coeffs, precision_bits)
+    roots, residuals, forwards, prec, trace = solve_all_roots(p.coeffs, precision_bits,
+                                                             _loop_seeds(p))
     return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n, trace)
 
 

@@ -159,18 +159,25 @@ def read_roots(path) -> RootCountingMeasure:
     """Rebuild a measure from a roots export (precision from the header).
 
     Clusters are recomputed from the stored roots; forward bounds are not
-    stored, so they read back as infinite (unknown).
+    stored, so they read back as infinite (unknown).  A file with another
+    number of rows than its header's ``count``, as one cut on a row
+    boundary has, raises InvalidInputError.
     """
     precision = None
     source_n = None
+    count = None
     numbered = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             if "precision_bits" in line:
                 parts = line.lstrip("# ").split()
                 fields = dict(zip(parts[::3], parts[2::3]))
-                precision = int(fields["precision_bits"])
-                source_n = int(fields.get("n", 0))
+                try:
+                    precision = int(fields["precision_bits"])
+                    source_n = int(fields.get("n", 0))
+                    count = int(fields["count"])
+                except (KeyError, ValueError):
+                    raise InvalidInputError(f"roots file {path}: malformed header {line!r}") from None
             continue
         if line:
             numbered.append((lineno, line))
@@ -178,6 +185,9 @@ def read_roots(path) -> RootCountingMeasure:
         raise InvalidInputError(f"roots file {path} lacks a precision header")
     with mp.workprec(precision):
         rows = [_row(path, lineno, line, mp.mpf, mp.mpf, mp.mpf) for lineno, line in numbered]
+        if len(rows) != count:
+            raise InvalidInputError(f"roots file {path} has {len(rows)} rows, "
+                                    f"its header says count {count}")
         zs = [mp.mpc(a, b) for a, b, _ in rows]
         rs = [r for _, _, r in rows]
     return RootCountingMeasure.from_roots(
@@ -220,9 +230,13 @@ def read_point_list(path) -> np.ndarray:
 
 
 def write_level_curve(path, curve: LevelCurve) -> None:
-    """Ordered CSV polyline with per-point residuals plus a # header."""
+    """Ordered CSV polyline with per-point residuals plus a # header.
+
+    The header lists the saddle locations as ``a+bi`` or ``a-bi``, joined by
+    ``;``, or ``none``.
+    """
     crit = ";".join(
-        f"{c.location.real:.15g}+{c.location.imag:.15g}i" for c in curve.critical_points
+        f"{c.location.real:.15g}{c.location.imag:+.15g}i" for c in curve.critical_points
     )
     lines = [
         f"# level curve pair = {curve.pair[0]},{curve.pair[1]} closed = {curve.closed} "
@@ -235,15 +249,23 @@ def write_level_curve(path, curve: LevelCurve) -> None:
 
 
 def read_level_curve(path) -> LevelCurve:
+    """The curve of a level file, its saddles read back from the header.
+
+    The file stores the saddle locations (at 15 significant digits) but not
+    their outgoing directions, so each comes back as
+    ``CriticalPoint(location, directions=())``.  An older file's ``+-`` before
+    a negative imaginary part reads as ``-``.
+    """
     import numpy as np
 
-    from .potential import LevelCurve
+    from .potential import CriticalPoint, LevelCurve
 
     points = []
     residuals = []
     pair = (0, 0)
     closed = False
     hit_cut = False
+    criticals = ()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             toks = line.split()
@@ -253,6 +275,14 @@ def read_level_curve(path) -> LevelCurve:
                 closed = toks[toks.index("closed") + 2] == "True"
             if "hit_cut" in toks:
                 hit_cut = toks[toks.index("hit_cut") + 2] == "True"
+            if "criticals" in toks:
+                field = toks[toks.index("criticals") + 2]
+                texts = [] if field == "none" else field.replace("+-", "-").split(";")
+                try:
+                    criticals = tuple(CriticalPoint(complex(t.replace("i", "j")), ()) for t in texts)
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{path}, line {lineno}: malformed criticals {field!r}") from None
             continue
         if not line or line.startswith("index"):
             continue
@@ -264,7 +294,7 @@ def read_level_curve(path) -> LevelCurve:
         points=np.array(points),
         residuals=np.array(residuals),
         closed=closed,
-        critical_points=(),
+        critical_points=criticals,
         hit_cut=hit_cut,
     )
 

@@ -193,6 +193,18 @@ class TestRootsAndVerify:
         assert f"{damaged}, line " in capsys.readouterr().err
 
 
+    def test_roots_file_cut_on_row_boundary_exit_two(self, sched_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 6, "--precision", 128,
+                   "--out", out) == 0
+        path = out / "roots_n6.txt"
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(rows[:5]))
+        assert run("verify", "--experiments", "distance", "--n-list", 6,
+                   "--schedule", sched_file, "--out", out) == 2
+        assert "header says count 6" in capsys.readouterr().err
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, sched_file, tmp_path):
         out = tmp_path / "out"

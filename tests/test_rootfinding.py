@@ -1,10 +1,13 @@
+import cmath
 import hashlib
+import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperzeros.errors import InvalidInputError, PoleError
@@ -15,6 +18,7 @@ from hyperzeros.rootfinding import (
     _coeff_spread_bits,
     _cluster_radius,
     _find_clusters,
+    _loop_seeds,
     cauchy_transform_at,
     find_roots,
     fraction_to_mpf,
@@ -29,6 +33,7 @@ F = Fraction
 
 SCHED = ParameterSchedule.loop_2f1(1)
 FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
+ND3 = ParameterSchedule((-1, CR(F(1, 2), 1), 2), (0, 1, 0), (1, CR(F(3, 2), -1)), (0, 1))
 
 
 def poly_from(coeffs, n=None):
@@ -243,15 +248,29 @@ class TestKernel:
                 assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
 
     @pytest.mark.parametrize("n, expected", [
+        (20, [("seed", 96, 5), ("rung", 192, 3), ("rung", 384, 2), ("rung", 594, 2),
+              ("certify", 594, None)]),
+        (40, [("seed", 102, 5), ("rung", 204, 11), ("rung", 408, 3), ("rung", 614, 2),
+              ("certify", 614, None)]),
+    ])
+    def test_find_roots_keeps_schedule(self, n, expected):
+        # K1 seeds on its limit loop
+        m = find_roots(build_polynomial(SCHED, n), 512)
+        assert _trace_summary(m.trace) == expected
+        assert m.trace[0]["rule"] == "loop"
+        assert all(t["active_left"] == 0 for t in m.trace if "sweeps" in t)
+
+    @pytest.mark.parametrize("n, expected", [
         (20, [("seed", 96, 21), ("rung", 192, 3), ("rung", 384, 2), ("rung", 594, 2),
               ("certify", 594, None)]),
         (40, [("seed", 102, 27), ("rung", 204, 15), ("rung", 408, 3), ("rung", 614, 2),
               ("certify", 614, None)]),
     ])
-    def test_find_roots_keeps_schedule(self, n, expected):
-        m = find_roots(build_polynomial(SCHED, n), 512)
-        assert _trace_summary(m.trace) == expected
-        assert all(t["active_left"] == 0 for t in m.trace if "sweeps" in t)
+    def test_polygon_seeds_keep_schedule(self, n, expected):
+        # the same coefficients without seeds start on the Newton polygon
+        _, _, _, _, trace = solve_all_roots(build_polynomial(SCHED, n).coeffs, 512)
+        assert _trace_summary(trace) == expected
+        assert trace[0]["rule"] == "polygon"
 
     def test_doubling_refines_from_refined_iterates(self):
         # alpha = 2 + i, n = 40 misses the forward bound at 128 bits; after
@@ -259,7 +278,7 @@ class TestKernel:
         # so the seed phase runs once
         m = find_roots(build_polynomial(ParameterSchedule.loop_2f1(CR(2, 1)), 40), 128)
         assert _trace_summary(m.trace) == [
-            ("seed", 102, 25), ("rung", 230, 25), ("certify", 230, None),
+            ("seed", 102, 1), ("rung", 230, 10), ("certify", 230, None),
             ("double-precision", None, None), ("rung", 358, 2), ("certify", 358, None),
         ]
         assert m.precision_bits == 256
@@ -326,6 +345,101 @@ class TestKernel:
                 assert min(abs(z - w) - tol * abs(w) for w in oracle) <= 0
             for w in oracle:
                 assert min(abs(z - w) for z in ours) <= tol * abs(w)
+
+
+ALPHA_HALF = ParameterSchedule.loop_2f1(CR(F(1, 2), -1))
+ALPHA_TWO = ParameterSchedule.loop_2f1(CR(2, 1))
+
+
+def _log_g(alpha, z):
+    """log G(z) = log(z - 1) + alpha log z on the principal branch."""
+    return cmath.log(z - 1) + alpha * cmath.log(z)
+
+
+def _nearest_match(m, roots, forwards):
+    """Each root of ``m`` lies within the sum of the two forward bounds of
+    its nearest root in ``roots``, and no two share that nearest root."""
+    with mp.workprec(max(m.precision_bits, 64)):
+        nearest = [min(range(len(roots)), key=lambda j: abs(z - roots[j])) for z in m.roots]
+        assert sorted(nearest) == list(range(len(roots)))
+        for z, fz, j in zip(m.roots, m.forward_error_bounds, nearest):
+            assert abs(z - roots[j]) <= fz + forwards[j]
+
+
+class TestLoopSeeds:
+    """Two-slope degenerate schedules start the solve on their limit loop."""
+
+    @pytest.mark.parametrize("sched", [SCHED, ALPHA_HALF, ALPHA_TWO], ids=["K1", "a=1/2-i", "a=2+i"])
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_seeds_are_loop_quantiles(self, sched, n):
+        # seed k lies on |G| = |G(z*)| at arg G = arg G(z*) + 2 pi (k + 1/2)/n
+        seeds = _loop_seeds(build_polynomial(sched, n))
+        assert seeds is not None and len(seeds) == n
+        alpha = complex(sched.alphas[1])
+        saddle = _log_g(alpha, alpha / (1 + alpha))
+        for k, z in enumerate(seeds):
+            w = _log_g(alpha, z) - saddle
+            assert abs(w.real) < 1e-12
+            assert abs(math.remainder(w.imag - 2 * math.pi * (k + 0.5) / n, 2 * math.pi)) < 1e-12
+
+    @pytest.mark.parametrize("sched", [SCHED, ALPHA_HALF, ALPHA_TWO], ids=["K1", "a=1/2-i", "a=2+i"])
+    def test_find_roots_records_loop_rule(self, sched):
+        m = find_roots(build_polynomial(sched, 10), 128)
+        assert m.trace[0]["phase"] == "seed" and m.trace[0]["rule"] == "loop"
+
+    def _fallback(self, sched, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = build_polynomial(sched, n)
+        assert _loop_seeds(p) is None
+        m = find_roots(p, 128)
+        assert m.trace[0]["rule"] == "polygon"
+        return p
+
+    def test_other_schedules_fall_back(self):
+        self._fallback(FIG5, 10)
+        self._fallback(ND3, 6)
+
+    def test_trimmed_degree_falls_back(self):
+        # a_2 = -n/2 truncates the series at degree n/2
+        sched = ParameterSchedule((-1, CR(F(-1, 2))), (0, 0), (CR(F(-1, 2)),), (CR(F(1, 2)),))
+        assert sched.is_degenerate
+        assert self._fallback(sched, 6).degree == 3
+
+    def test_alpha_zero_falls_back(self):
+        self._fallback(ParameterSchedule.loop_2f1(0), 8)
+
+    def test_failed_loop_check_falls_back(self):
+        # for alpha = -2 + i/16 the real crossing x > 1 lies next to the
+        # saddle z* = 2 + 0.06 i, the walk runs along the lobe through
+        # infinity, and the seed polygon winds -1 times around both 0 and 1
+        self._fallback(ParameterSchedule.loop_2f1(CR(-2, F(1, 16))), 10)
+
+    def test_seed_count_checked(self):
+        with pytest.raises(InvalidInputError):
+            solve_all_roots([CR(-1), CR(0), CR(1)], 128, seeds=[0.5j])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(-3, 12), st.integers(-8, 8), st.integers(6, 24))
+    def test_loop_or_fallback(self, re4, im4, n):
+        # alpha = (re4 + i im4)/4 in [-3/4, 3] x [-2, 2]
+        sched = ParameterSchedule.loop_2f1(CR(F(re4, 4), F(im4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                p = build_polynomial(sched, n)
+            except InvalidInputError:
+                assume(False)
+        seeds = _loop_seeds(p)
+        if seeds is None:
+            return
+        alpha = complex(sched.alphas[1])
+        level = _log_g(alpha, alpha / (1 + alpha)).real
+        assert all(abs(_log_g(alpha, z).real - level) < 1e-12 for z in seeds)
+        m = find_roots(p, 128)
+        assert m.trace[0]["rule"] == "loop"
+        roots, _, forwards, _, _ = solve_all_roots(p.coeffs, 128)
+        _nearest_match(m, roots, forwards)
 
 
 class TestClusters:

@@ -10,6 +10,7 @@ from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import ComplexRational
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.potential import (
+    LevelCurve,
     RegionGrid,
     classify_regions,
     make_harmonic_system,
@@ -110,6 +111,33 @@ class TestLevelCurve:
         assert len(back.points) == len(curve.points)
         assert np.max(np.abs(back.points - curve.points)) < 1e-15
 
+    def test_roundtrip_criticals(self, tmp_path):
+        # the alpha = 1/2 - i loop closes at the saddle 7/13 - 4i/13, below the
+        # real axis; the file keeps its location but not its directions
+        curve = trace_conjectured_loop(make_harmonic_system(CONJ), 2, step=0.02)
+        assert curve.critical_points
+        path = tmp_path / "level.csv"
+        serialize.write_level_curve(path, curve)
+        header = path.read_text().splitlines()[0]
+        assert header.endswith("criticals = 0.538461538461538-0.307692307692308i;"
+                               "0.538461538461538-0.307692307692308i")
+        back = serialize.read_level_curve(path)
+        assert len(back.critical_points) == len(curve.critical_points)
+        for b, c in zip(back.critical_points, curve.critical_points):
+            assert abs(b.location - c.location) < 1e-14
+            assert b.directions == ()
+        # the "+-" an older writer put before a negative imaginary part
+        path.write_text(path.read_text().replace("8-0.3", "8+-0.3"))
+        assert serialize.read_level_curve(path).critical_points == back.critical_points
+
+    def test_no_criticals(self, tmp_path):
+        curve = LevelCurve(pair=(1, 2), points=np.array([1.5 + 0j, 1.4 + 0.1j]),
+                           residuals=np.zeros(2), closed=False, critical_points=(), hit_cut=False)
+        path = tmp_path / "level.csv"
+        serialize.write_level_curve(path, curve)
+        assert path.read_text().splitlines()[0].endswith("criticals = none")
+        assert serialize.read_level_curve(path).critical_points == ()
+
     def test_roundtrip_hit_cut(self, tmp_path):
         # the left lobe of the lemniscate, whose trace stops at the Arg cut
         curve = trace_level_curve(make_harmonic_system(K1), (1, 2), -0.3 + 0.3j, step=0.01)
@@ -119,6 +147,23 @@ class TestLevelCurve:
         back = serialize.read_level_curve(path)
         assert (back.pair, back.closed, back.hit_cut) == ((1, 2), False, True)
         assert np.array_equal(back.points, curve.points)
+
+
+class TestRootCount:
+    def test_cut_on_row_boundary_rejected(self, tmp_path):
+        # whole rows dropped from the end: every row parses, the count does not
+        path = tmp_path / "roots.txt"
+        serialize.write_roots(path, find_roots(build_polynomial(K1, 6), 128), K1)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:5]) + "\n")
+        with pytest.raises(InvalidInputError, match="3 rows, its header says count 6"):
+            serialize.read_roots(path)
+
+    def test_header_without_count_rejected(self, tmp_path):
+        path = tmp_path / "roots.txt"
+        path.write_text("# n = 1 precision_bits = 128\n1.5 0 1e-40\n")
+        with pytest.raises(InvalidInputError, match="malformed header"):
+            serialize.read_roots(path)
 
 
 class TestTruncatedRows:
