@@ -45,6 +45,9 @@ TRACE_RESIDUAL_TOL = 1e-12
 QUAD_TOL = 1e-12
 MIN_BRANCH_SEPARATION = 1e-9
 SINGULAR_GUARD = 1e-13
+# a region grid is labelled in blocks of rows holding about 1 MiB of complex
+# cell centres, so its peak memory does not grow with the resolution squared
+REGION_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -836,7 +839,9 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
 
     ``box`` is (xmin, xmax, ymin, ymax); the grid has resolution x resolution
     cells.  Boundary cells (label different from a 4-neighbor, cut-barrier
-    pairs excluded) make up the discrete singular set K.
+    pairs excluded) make up the discrete singular set K.  The labels are
+    computed in blocks of rows of about ``REGION_BLOCK_BYTES`` of complex
+    cell centres each.
     """
     sys._require_closed("region classification")
     xmin, xmax, ymin, ymax = box
@@ -846,5 +851,9 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
     if res < 2:
         raise InvalidInputError("resolution must be at least 2")
     xs, ys = RegionGrid.cell_centres(box, res)
-    labels = np.argmax(sys.shifted_stack(xs + 1j * ys[:, None]), axis=0).astype(np.int16) + 1
+    labels = np.empty((res, res), dtype=np.int16)
+    rows = max(1, REGION_BLOCK_BYTES // (16 * res))
+    for r in range(0, res, rows):
+        block = sys.shifted_stack(xs + 1j * ys[r:r + rows, None])
+        labels[r:r + rows] = np.argmax(block, axis=0) + 1
     return RegionGrid.from_labels(box, res, labels)

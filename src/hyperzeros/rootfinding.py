@@ -15,11 +15,14 @@ adaptive-precision Aberth of MPSolve; Bini & Robol, J. Comput. Appl.
 Math. 272, 2014).  The sweeps run in fixed point on
 Gaussian integers (CPython ints) after a block exponent scales the
 coefficients, and stop at the noise floor of a floating-point evaluation
-at the rung's precision.  Every root is then certified a posteriori in
-mpmath by a running-error Horner bound at the target rung, so a fault in
-the sweeps can cost iterations or a precision doubling but never a false
-certificate.  If certification fails the target doubles and the ladder
-continues, up to a hard cap.
+at the rung's precision.  Every root is then certified a posteriori at the
+target rung by a running-error Horner bound, in the same fixed-point
+arithmetic: the sweeps and the certificates share one Horner loop, the
+certificates add its rounding error as an explicit term, and they carry
+the term magnitudes as floats with integer exponents, rounded outward.  A
+fault in the sweeps can therefore cost iterations or a precision doubling
+but never a false certificate.  If certification fails the target doubles
+and the ladder continues, up to a hard cap.
 
 The solver has one entry, ``solve_all_roots``, which takes a plain
 coefficient list (exact ComplexRationals or already-rounded mpcs) and
@@ -42,6 +45,8 @@ from mpmath.libmp import (
     fzero,
     mpc_pos,
     mpf_div,
+    mpf_shift,
+    round_ceiling,
     round_nearest,
     to_fixed,
 )
@@ -224,36 +229,66 @@ def _loop_seeds(p: HypPolynomial):
     return seeds if windings == [1, 0] else None
 
 
-def _horner(c, ca, cp, z):
-    """(p(z), sum |c_k| |z|^k, p'(z)) by Horner's rule.
+def _fixed_coeffs(c, b):
+    """The coefficients scaled by one power of two, as integer pairs on the grid 2^-b.
 
-    ``ca`` holds the |c_k| and ``cp`` the coefficients of p'; the middle
-    value is the running-error sum that scales the evaluation noise.
+    The block exponent puts max|c_k| in [1, 2) and leaves the roots
+    unchanged.  Returns (cr, ci, shift): cr[k] + i ci[k] is c_k 2^shift
+    truncated to an integer, so it stands for c_k 2^(shift - b) on the grid.
     """
-    deg = len(c) - 1
-    az = abs(z)
-    pv = c[deg]
-    pt = ca[deg]
-    for k in range(deg - 1, -1, -1):
-        pv = pv * z + c[k]
-        pt = pt * az + ca[k]
-    dv = cp[deg - 1]
-    for k in range(deg - 2, -1, -1):
-        dv = dv * z + cp[k]
-    return pv, pt, dv
+    top = max(x[2] + x[3] for ck in c for x in ck._mpc_ if x[1])
+    shift = b + 1 - top
+    cr = [to_fixed(ck._mpc_[0], shift) for ck in c]
+    ci = [to_fixed(ck._mpc_[1], shift) for ck in c]
+    if max(r * r + i * i for r, i in zip(cr, ci)) >> (2 * b + 2):
+        cr = [r >> 1 for r in cr]
+        ci = [i >> 1 for i in ci]
+        shift -= 1
+    return cr, ci, shift
+
+
+def _fixed_horner(coeffs, xr, xi, b):
+    """(p(z), p'(z), pt) on the grid 2^-b by Horner's rule, p and p' as
+    integer pairs.
+
+    ``coeffs`` holds (re, im, modulus) grid triples from the leading
+    coefficient down, and z = (xr + i xi) 2^-b.  Each product with z is
+    exact in integers and then truncated onto the grid by one shift per
+    component.  Every truncation, that of the coefficients onto the grid
+    included, errs by less than sqrt(2) 2^-b, so with z on the grid the
+    results differ from p and p' of the untruncated coefficients by less
+    than 4 (deg + 1) 2^-b max(1, |z|)^deg and 2 (deg + 1)^2 2^-b
+    max(1, |z|)^deg.  pt = sum |c_k| |z|^k is the running-error sum of the
+    moduli, truncated likewise.
+    """
+    terms = iter(coeffs)
+    vr, vi, pt = next(terms)
+    dr = di = 0
+    az = math.isqrt(xr * xr + xi * xi)
+    # three-product complex multiply by z: with k = xr (wr + wi),
+    # w z = (k - wi (xr + xi)) + i (k + wr (xi - xr))
+    xs = xr + xi
+    xd = xi - xr
+    for ar, ai, aa in terms:
+        k = xr * (dr + di)
+        dr, di = ((k - di * xs) >> b) + vr, ((k + dr * xd) >> b) + vi
+        k = xr * (vr + vi)
+        vr, vi = ((k - vi * xs) >> b) + ar, ((k + vr * xd) >> b) + ai
+        pt = ((pt * az) >> b) + aa
+    return vr, vi, dr, di, pt
 
 
 def _aberth_phase(c, z, wp, spread, cap):
     """Run Ehrlich-Aberth sweeps until every root's correction sinks below its
     evaluation-noise floor; returns (z, sweeps, active_left).
 
-    The sweeps run in fixed point on Gaussian integers.  The coefficients are
-    first scaled by one power of two, a block exponent that leaves the roots
-    unchanged, so that max|c_k| lies in [1, 2).  Coefficients and iterates
-    then become (re, im) integer pairs on the grid 2^-b, b = wp + spread + 4.
-    Horner's rule for p and p', the running-error sum pt = sum |c_k| |z|^k,
-    the Newton quotient, the Aberth sum and the correction are integer
-    operations; the iterates come back as mpcs rounded to ``wp`` bits.
+    The sweeps run in fixed point on Gaussian integers.  ``_fixed_coeffs``
+    scales the coefficients by a block exponent and puts them, like the
+    iterates, on the grid 2^-b, b = wp + spread + 4, as (re, im) integer
+    pairs.  Horner's rule for p, p' and the running-error sum
+    pt = sum |c_k| |z|^k (``_fixed_horner``), the Newton quotient, the
+    Aberth sum and the correction are integer operations; the iterates come
+    back as mpcs rounded to ``wp`` bits.
 
     A root stays active while |corr| |p'| > 4 u pt, u = 2 deg 2^-wp, which is
     the floating-point Horner noise model at ``wp`` bits; the test is squared
@@ -270,16 +305,8 @@ def _aberth_phase(c, z, wp, spread, cap):
     deg = len(c) - 1
     b = wp + spread + 4
     one = 1 << b
-    # block exponent: c_k * 2^shift lands on the grid with max|c_k| in [1, 2)
-    top = max(x[2] + x[3] for ck in c for x in ck._mpc_ if x[1])
-    shift = b + 1 - top
-    cr = [to_fixed(ck._mpc_[0], shift) for ck in c]
-    ci = [to_fixed(ck._mpc_[1], shift) for ck in c]
-    if max(r * r + i * i for r, i in zip(cr, ci)) >> (2 * b + 2):
-        cr = [r >> 1 for r in cr]
-        ci = [i >> 1 for i in ci]
-    ca = [math.isqrt(r * r + i * i) for r, i in zip(cr, ci)]
-    lower = list(zip(cr[deg - 1::-1], ci[deg - 1::-1], ca[deg - 1::-1]))
+    cr, ci, _ = _fixed_coeffs(c, b)
+    coeffs = [(r, i, math.isqrt(r * r + i * i)) for r, i in zip(cr[::-1], ci[::-1])]
     zr = [to_fixed(zk._mpc_[0], b) for zk in z]
     zi = [to_fixed(zk._mpc_[1], b) for zk in z]
     floor_shift = b - wp
@@ -298,21 +325,7 @@ def _aberth_phase(c, z, wp, spread, cap):
         for i in active:
             xr = zr[i]
             xi = zi[i]
-            vr = cr[deg]
-            vi = ci[deg]
-            pt = ca[deg]
-            dr = di = 0
-            az = math.isqrt(xr * xr + xi * xi)
-            # three-product complex multiply by z: with k = xr (wr + wi),
-            # w z = (k - wi (xr + xi)) + i (k + wr (xi - xr))
-            xs = xr + xi
-            xd = xi - xr
-            for ar, ai, aa in lower:
-                k = xr * (dr + di)
-                dr, di = ((k - di * xs) >> b) + vr, ((k + dr * xd) >> b) + vi
-                k = xr * (vr + vi)
-                vr, vi = ((k - vi * xs) >> b) + ar, ((k + vr * xd) >> b) + ai
-                pt = ((pt * az) >> b) + aa
+            vr, vi, dr, di, pt = _fixed_horner(coeffs, xr, xi, b)
             dd = dr * dr + di * di
             if not dd:
                 # nudge off the exact critical point of p': z (1 + 2^-20) + 2^-20
@@ -353,34 +366,119 @@ def _aberth_phase(c, z, wp, spread, cap):
     return z, sweeps, len(active)
 
 
-def _certificates(c, z):
-    """Per-root residual and forward-error bounds at the current precision.
+def _magnitude(v):
+    """(m, e) with |v| = m 2^e to within a relative 2^-51 and m in [0.5, 1),
+    for an mpc v; (0.0, 0) at 0.
 
-    residual: (|p(z)| + noise) / max-term scale, an upper bound on the
-    relative backward error; forward: (|p(z)| + noise) / |p'(z)|, a
-    first-order bound on the distance to the nearby true root.
+    The top 53 bits of each component's mantissa become a float, so only
+    correctly rounded float operations follow and the result is the same
+    on every IEEE-754 platform.
+    """
+    parts = [(float(man >> (bc - 53)) if bc > 53 else float(man), exp + max(bc - 53, 0))
+             for _, man, exp, bc in v._mpc_ if man]
+    if not parts:
+        return 0.0, 0
+    top = max(e for _, e in parts)
+    m, de = math.frexp(math.sqrt(sum(math.ldexp(t * t, 2 * (e - top)) for t, e in parts)))
+    return m, top + de
+
+
+def _ceil_scaled(x, e):
+    """ceil(x 2^e) for a float x >= 0 and an integer e, exactly."""
+    num, den = x.as_integer_ratio()
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    return -(-num // den)
+
+
+def _certificates(c, z):
+    """Per-root residual and forward-error bounds of sum_k c_k z^k at ``z``.
+
+    residual: (|p(z)| + noise) / scale, scale = max_k |c_k| |z|^k, an upper
+    bound on the relative backward error; forward: (|p(z)| + noise) / |p'(z)|,
+    a first-order bound on the distance to the nearby true root.  The noise
+    term 2 deg eps pt, pt = sum_k |c_k| |z|^k and eps that of the ambient
+    mpmath precision wp, is the floating-point Horner noise model at wp bits.
+
+    p and p' come from the Aberth kernel's fixed-point Horner
+    (``_fixed_horner``) on the grid 2^-b, b = wp + spread + 4 or finer where
+    a point needs it, so that every point of ``z`` lies on the grid exactly.
+    The grid's rounding errors enter as explicit terms: |p| is bounded above
+    by its integer modulus plus 1 plus 4 (deg + 1) max(1, |z|)^deg grid
+    units, and |p'| below by its modulus less 2 (deg + 1)^2 max(1, |z|)^deg.
+
+    pt, scale and max(1, |z|)^deg need only a few bits, so they are float
+    mantissas with integer exponents (``_magnitude``), each power |z|^k and
+    term |c_k| |z|^k off by less than a relative (k + 1) 2^-50.5; a relative
+    (deg + 4) 2^-48, four times the worst case, widens them upward and
+    scale downward.  The divisions round up at 53 bits, and a |p'| whose
+    bound is not positive gives an infinite forward bound, so both results
+    are upper bounds.
     """
     deg = len(c) - 1
-    ca = [abs(ck) for ck in c]
-    cp = [c[k] * k for k in range(1, deg + 1)]
-    unit = mp.mpf(2 * deg) * mp.eps
+    wp = mp.mp.prec
+    mags = [_magnitude(ck) for ck in c]
+    spread = (max(e for m, e in mags if m)
+              - min(e for m, e in (mags[0], mags[-1]) if m) + 1)
+    slack = (deg + 4) * 2.0 ** -48
+    p_err = 4 * (deg + 1)
+    d_err = 2 * (deg + 1) ** 2
+    grids = {}
     residuals = []
     forwards = []
-    for zi in z:
-        pv, pt, dv = _horner(c, ca, cp, zi)
-        az = abs(zi)
-        scale = mp.mpf(0)
-        zp = mp.mpf(1)
-        for k in range(deg + 1):
-            t = ca[k] * zp
-            if t > scale:
-                scale = t
-            zp *= az
-        noise = unit * pt
-        num = abs(pv) + noise
-        residuals.append(num / scale if scale > 0 else mp.mpf(0))
-        forwards.append(num / abs(dv) if dv != 0 else mp.inf)
+    for zk in z:
+        # the coarsest grid of at least wp + spread + 4 bits that holds z_k
+        b = max([wp + spread + 4] + [-x[2] for x in zk._mpc_ if x[1]])
+        if b not in grids:
+            cr, ci, shift = _fixed_coeffs(c, b)
+            # pt is bounded in floats further down, so the grid's
+            # running-error sum runs on zero moduli and costs next to nothing
+            grids[b] = [(r, i, 0) for r, i in zip(cr[::-1], ci[::-1])], shift
+        coeffs, shift = grids[b]
+        vr, vi, dr, di, _ = _fixed_horner(coeffs, to_fixed(zk._mpc_[0], b),
+                                          to_fixed(zk._mpc_[1], b), b)
+        # the nonzero terms |c_k| |z|^k as normalized (mantissa, exponent),
+        # with |z|^k = pm 2^pe
+        zm, ze = _magnitude(zk)
+        terms = [mags[0]] if mags[0][0] else []
+        pm, pe = 1.0, 0
+        for cm, ce in mags[1:]:
+            pm, de = math.frexp(pm * zm)
+            pe += ze + de
+            m, de = math.frexp(cm * pm)
+            if m:
+                terms.append((m, ce + pe + de))
+        top = max(e for _, e in terms)
+        scale = max(m for m, e in terms if e == top) * (1 - slack)
+        pt = sum(math.ldexp(m, e - top) for m, e in terms) * (1 + slack)
+        # p and p' are integers times 2^-shift: on that scale the noise
+        # 2 deg 2^(1 - wp) pt is 4 deg pt 2^(shift - wp), and the grid
+        # errors take max(1, |z|)^deg, pm 2^pe widened like pt
+        noise = 4 * deg * _ceil_scaled(pt, top + shift - wp)
+        zpow = pm * (1 + slack)
+        pv = (math.isqrt(vr * vr + vi * vi) + 1 + noise
+              + max(p_err, _ceil_scaled(p_err * zpow, pe)))
+        dv = math.isqrt(dr * dr + di * di) - max(d_err, _ceil_scaled(d_err * zpow, pe))
+        scale = mpf_shift(from_float(scale), top)
+        residuals.append(mp.make_mpf(mpf_div(from_man_exp(pv, -shift), scale, 53, round_ceiling)))
+        forwards.append(mp.make_mpf(mpf_div(from_int(pv), from_int(dv), 53, round_ceiling))
+                        if dv > 0 else mp.inf)
     return residuals, forwards
+
+
+def _margin_bits(bounds, limits):
+    """The worst floor(log2(bound / limit)) over the roots, clamped to
+    +-MAX_PRECISION, so an infinite bound reads MAX_PRECISION; negative
+    when every bound beats its limit."""
+    worst = -MAX_PRECISION
+    for x, lim in zip(bounds, limits):
+        if x == mp.inf:
+            return MAX_PRECISION
+        _, _, exp, bc = (x / lim)._mpf_
+        worst = max(worst, exp + bc - 1)
+    return min(worst, MAX_PRECISION)
 
 
 def _solve_nonzero(c, precision_bits, seeds=None):
@@ -395,9 +493,11 @@ def _solve_nonzero(c, precision_bits, seeds=None):
     iterates on to the next rung, which finishes the work.  The target rung
     always runs, below rung 0 if a low ``prec`` puts it there.  The global
     convergence thus happens on the cheap low rungs and the target rung
-    only polishes.  The certificates run once, at the target rung; a
-    failure doubles ``prec`` and continues the ladder from the last
-    iterates.  Returns the unsorted (roots, residuals, forwards,
+    only polishes.  The certificates run once, at the target rung; their
+    ``certify`` record carries the outcomes and the worst margins
+    floor(log2(bound / threshold)) over the roots, ``residual_margin`` and
+    ``forward_margin`` (``_margin_bits``).  A failure doubles ``prec`` and
+    continues the ladder from the last iterates.  Returns the unsorted (roots, residuals, forwards,
     precision_used, trace), the roots rounded to precision_used bits and
     the bounds evaluated there.
     """
@@ -437,10 +537,13 @@ def _solve_nonzero(c, precision_bits, seeds=None):
             # m-fold root; clustered roots are certified by residual alone
             # and reported in the measure's cluster diagnostic
             fwd_thr = _forward_threshold(prec)
-            loose = [i for i in range(degree) if not forwards[i] < fwd_thr * (1 + abs(zr[i]))]
+            fwd_lims = [fwd_thr * (1 + abs(zi)) for zi in zr]
+            loose = [i for i in range(degree) if not forwards[i] < fwd_lims[i]]
             fwd_ok = not loose or set(loose) <= {i for g in _find_clusters(zr, prec) for i in g}
-        trace.append({"phase": "certify", "working_bits": wp, "residuals_ok": res_ok,
-                      "forward_ok": fwd_ok})
+            trace.append({"phase": "certify", "working_bits": wp, "residuals_ok": res_ok,
+                          "forward_ok": fwd_ok,
+                          "residual_margin": _margin_bits(residuals, [res_thr] * degree),
+                          "forward_margin": _margin_bits(forwards, fwd_lims)})
         if left == 0 and res_ok and fwd_ok:
             return zr, residuals, forwards, prec, trace
         if prec >= MAX_PRECISION:
@@ -505,8 +608,8 @@ class RootCountingMeasure:
     unit weight).  A forward bound of infinity means the bound is unknown.
     ``trace`` holds the solver's records when the measure comes from
     ``find_roots``: one per precision rung (working bits, sweeps, roots left
-    active), one per certification (certificate outcomes) and one per
-    precision doubling.  It is empty for a measure read from a file and
+    active), one per certification (certificate outcomes and their worst
+    log2 margins) and one per precision doubling.  It is empty for a measure read from a file and
     takes no part in equality.
     """
 

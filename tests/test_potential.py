@@ -20,6 +20,7 @@ from hyperzeros.potential import (
     MIN_BRANCH_SEPARATION,
     PSI_TIE_TOL,
     QUAD_TOL,
+    REGION_BLOCK_BYTES,
     SINGULAR_GUARD,
     HarmonicSystem,
     RegionGrid,
@@ -521,6 +522,27 @@ class TestBatchedRegions:
     def test_singular_point_in_grid_rejected(self, sys_k1):
         with pytest.raises(InvalidInputError):
             classify_regions(sys_k1, (-1.0, 1.0, -1.0, 1.0), 3)
+
+
+class TestRowBlocks:
+    """Labelling the grid in blocks of rows gives the labels and K mask of
+    one argmax over the whole grid's shifted stack."""
+
+    # 700 rows do not split into whole blocks of 93, 50 rows fit in one
+    # block, and 2 is the smallest grid
+    @pytest.mark.parametrize("res", [700, 50, 2])
+    @pytest.mark.parametrize("family", ["K1", "FIG5"])
+    def test_matches_whole_grid(self, sys_k1, sys_fig5, family, res):
+        sys_ = {"K1": sys_k1, "FIG5": sys_fig5}[family]
+        box = (-1.1, 2.0, -1.5, 1.4)
+        rows = REGION_BLOCK_BYTES // (16 * res)
+        assert (res % rows != 0) if res == 700 else rows >= res
+        grid = classify_regions(sys_, box, res)
+        xs, ys = RegionGrid.cell_centres(box, res)
+        labels = np.argmax(sys_.shifted_stack(xs + 1j * ys[:, None]), axis=0).astype(np.int16) + 1
+        assert grid.labels.dtype == np.int16
+        assert np.array_equal(grid.labels, labels)
+        assert np.array_equal(grid.kmask, RegionGrid.from_labels(box, res, labels).kmask)
 
 
 class TestCutBarrier:

@@ -182,6 +182,15 @@ class TestFindRoots:
             find_roots(poly_from([-1, 0, 1]), 32)
 
 
+def _bits_digest(precision_bits, values):
+    """sha256 of the precision and the raw mpmath tuples of ``values``."""
+    parts = [precision_bits]
+    for x in values:
+        raw = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,)
+        parts.append(tuple(tuple(int(v) for v in r) for r in raw))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
 def _trace_summary(trace):
     return [(t["phase"], t.get("working_bits"), t.get("sweeps")) for t in trace]
 
@@ -297,23 +306,40 @@ class TestKernel:
         bits = [t["working_bits"] for t in m.trace if "sweeps" in t]
         assert all(a < b <= 3 * a for a, b in zip(bits, bits[1:]))
         assert bits[-1] == prec + spread + 64
+        # the margins are the worst floor(log2(bound / threshold)); frexp
+        # gives x = f 2^e with f in [1/2, 1), so floor(log2 x) = e - 1
+        with mp.workprec(bits[-1]):
+            res_thr = mp.mpf(2) ** (-prec // 4)
+            fwd_thr = mp.mpf(2) ** (-prec // 2)
+            res_margin = max(mp.frexp(r / res_thr)[1] - 1 for r in m.residual_bounds)
+            fwd_margin = max(mp.frexp(f / (fwd_thr * (1 + abs(z))))[1] - 1
+                             for f, z in zip(m.forward_error_bounds, m.roots))
+        assert res_margin < 0 and fwd_margin < 0
         assert m.trace[-1] == {"phase": "certify", "working_bits": bits[-1],
-                               "residuals_ok": True, "forward_ok": True}
+                               "residuals_ok": True, "forward_ok": True,
+                               "residual_margin": res_margin, "forward_margin": fwd_margin}
         assert m.trace[-2]["sweeps"] <= 2
 
     @pytest.mark.parametrize("sched, n, prec, digest", [
-        (SCHED, 20, 512, "c6e5c2135f174703d44a53fa907271e8f238feaeb7f675cca54ae341504f0a0d"),
-        (FIG5, 10, 2048, "2128ed95f2a4ac4404f4e54403a333cc7b2402a913b7da005369619ab028d6cb"),
+        (SCHED, 20, 512, "68450424d8d5265d9b6f67858bdcade1c1bcea491ca77062779582ab0fdc1e45"),
+        (FIG5, 10, 2048, "e6a90005d2fb9eb9d443dbb98adcf1153099aa4979d5af76671ee532a92d5788"),
+    ], ids=["K1-n20", "FIG5-n10"])
+    def test_root_bits_pinned(self, sched, n, prec, digest):
+        # the exact bits of the roots and precision; a change to the
+        # schedule or to the certificates may move the trace and the
+        # bounds but not these
+        m = find_roots(build_polynomial(sched, n), prec)
+        assert _bits_digest(m.precision_bits, m.roots) == digest
+
+    @pytest.mark.parametrize("sched, n, prec, digest", [
+        (SCHED, 20, 512, "fc76e6f510e2f28a7f5f7f72e9c0b24be4e0bb2677136e05f087bc4cbb964fd2"),
+        (FIG5, 10, 2048, "8bea24a4ee8c14d52928d4d464cff09b3bf263678ad454b16b1c1373414a7d6c"),
     ], ids=["K1-n20", "FIG5-n10"])
     def test_output_bits_pinned(self, sched, n, prec, digest):
-        # the exact bits of the roots, bounds and precision; a schedule
-        # change may move the trace but not these
+        # the exact bits of the roots, bounds and precision
         m = find_roots(build_polynomial(sched, n), prec)
-        parts = [m.precision_bits]
-        for x in m.roots + m.residual_bounds + m.forward_error_bounds:
-            raw = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,)
-            parts.append(tuple(tuple(int(v) for v in r) for r in raw))
-        assert hashlib.sha256(repr(parts).encode()).hexdigest() == digest
+        values = m.roots + m.residual_bounds + m.forward_error_bounds
+        assert _bits_digest(m.precision_bits, values) == digest
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -345,6 +371,75 @@ class TestKernel:
                 assert min(abs(z - w) - tol * abs(w) for w in oracle) <= 0
             for w in oracle:
                 assert min(abs(z - w) for z in ours) <= tol * abs(w)
+
+
+def _exact(x):
+    """An mpf as an exact Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _assert_bounds_hold(coeffs, roots, residuals, forwards):
+    """residual scale >= |p(z)| and forward |p'(z)| >= |p(z)| at each root,
+    with p, p' and scale = max_k |c_k| |z|^k evaluated exactly in rationals
+    at the rounded coefficients and the roots as given (compared squared)."""
+    cs = [(_exact(c.real), _exact(c.imag)) for c in coeffs]
+    for z, res, fwd in zip(roots, residuals, forwards):
+        zr, zi = _exact(z.real), _exact(z.imag)
+        pr = pi = dr = di = F(0)
+        for ar, ai in reversed(cs):
+            dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+            pr, pi = pr * zr - pi * zi + ar, pr * zi + pi * zr + ai
+        p2 = pr * pr + pi * pi
+        az2 = zr * zr + zi * zi
+        scale2 = max((ar * ar + ai * ai) * az2 ** k for k, (ar, ai) in enumerate(cs))
+        assert _exact(res) ** 2 * scale2 >= p2
+        if fwd != mp.inf:
+            assert _exact(fwd) ** 2 * (dr * dr + di * di) >= p2
+
+
+class TestCertificates:
+    """The certificates are upper bounds at the roots as returned."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=10)
+        .filter(lambda c: c[-1] != (0, 0) and any(c[:-1])),
+        st.integers(-200, 200),
+    )
+    def test_bounds_hold_exactly(self, gauss, s):
+        # Gaussian-integer coefficients times 2^s, degree 2-9, at 128 bits
+        coeffs = [CR(a, b) * _pow2(s) for a, b in gauss]
+        roots, residuals, forwards, _, trace = solve_all_roots(coeffs, 128)
+        wp = trace[-1]["working_bits"]
+        at_origin = next(k for k, c in enumerate(gauss) if c != (0, 0))
+        kept = [(z, r, f) for z, r, f in zip(roots, residuals, forwards) if z != 0]
+        assert len(kept) == len(roots) - at_origin
+        with mp.workprec(wp):
+            cw = [to_big_complex(c, wp) for c in coeffs[at_origin:]]
+        _assert_bounds_hold(cw, *zip(*kept))
+
+    def test_points_off_the_default_grid(self):
+        # z^2 - 2^-500 at +-2^-250 with imaginary parts of 2^-1400: the
+        # points need a grid far finer than wp + spread + 4 bits
+        wp = 192
+        with mp.workprec(wp):
+            coeffs = [to_big_complex(c, wp) for c in (-_pow2(-500), CR(0), CR(1))]
+            tiny = mp.mpf(2) ** -1400
+            points = [mp.mpc(mp.mpf(2) ** -250, tiny), mp.mpc(-(mp.mpf(2) ** -250), -3 * tiny)]
+            assert min(x[2] for z in points for x in z._mpc_) < -(wp + 500 + 4)
+            residuals, forwards = _certificates(coeffs, points)
+        assert all(r < mp.mpf(2) ** -180 for r in residuals)
+        _assert_bounds_hold(coeffs, points, residuals, forwards)
+
+    def test_far_cluster(self):
+        # roots 2^40 + k, k = 1..8
+        coeffs = poly_from_roots([_pow2(40) + CR(k) for k in range(1, 9)])
+        roots, residuals, forwards, _, trace = solve_all_roots(coeffs, 128)
+        wp = trace[-1]["working_bits"]
+        with mp.workprec(wp):
+            cw = [to_big_complex(c, wp) for c in coeffs]
+        _assert_bounds_hold(cw, roots, residuals, forwards)
 
 
 ALPHA_HALF = ParameterSchedule.loop_2f1(CR(F(1, 2), -1))
