@@ -9,12 +9,17 @@ kept both in structured form M(u) - w N(u) with u = z w (M, N univariate
 with elementary-symmetric coefficients) and fully expanded.  When the
 denominator slopes repeat the numerator ones (beta_i = alpha_{i+1}) the
 curve splits into rational branches w = 1/(z-1) and w = -alpha_i/z, which
-this module certifies by exact substitution.
+this module certifies by exact substitution.  For any other schedule the
+branch points are the zeros of the exact w-discriminant, the Sylvester
+resultant of A and dA/dw, whose determinant runs on Gaussian-integer
+polynomials (``exact``) and comes back as exact complex rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -23,15 +28,16 @@ from .exact import (
     ONE,
     ZERO,
     ComplexRational,
+    gauss_poly_divexact,
+    gauss_poly_from,
+    gauss_poly_mul_sub,
     poly_add,
-    poly_divexact,
     poly_eval,
     poly_from_roots,
     poly_is_zero,
     poly_mul,
     poly_pow,
     poly_scale,
-    poly_sub,
     poly_trim,
 )
 from .hyppoly import ParameterSchedule
@@ -46,11 +52,12 @@ def w_coefficients(m_coeffs, n_coeffs, z):
     zero-initialised accumulator would, so a -0.0 component of a float
     product comes out as +0.0.
     """
+    powers = [z ** k for k in range(len(m_coeffs))]
     out = []
     for k, m in enumerate(m_coeffs):
-        c = 0 + m * z ** k
+        c = 0 + m * powers[k]
         if k:
-            c = c - n_coeffs[k - 1] * z ** (k - 1)
+            c = c - n_coeffs[k - 1] * powers[k - 1]
         out.append(c)
     return out
 
@@ -153,7 +160,7 @@ def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
             [to_big_complex(c, wp) for c in curve.n_coeffs],
             zz,
         )
-        if abs(coeffs[-1]) == 0:
+        if not coeffs[-1]:
             raise InvalidInputError(
                 f"leading w-coefficient of A({z}, .) vanishes (z in {{0, 1}}?)"
             )
@@ -175,27 +182,38 @@ class BranchPointSet:
 
 
 def _sylvester_determinant(rows):
-    """Fraction-free (Bareiss) determinant of a matrix of exact polynomials."""
-    m = [[list(e) for e in row] for row in rows]
+    """Fraction-free (Bareiss) determinant of a matrix of exact polynomials.
+
+    Each row is scaled by the lcm of its entries' denominators, so the
+    elimination runs on Gaussian-integer polynomials, where every division
+    by the previous pivot is exact; the product of the row scales is divided
+    out once at the end.  Returns the trimmed ComplexRational polynomial,
+    [] for a singular matrix.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(d for e in row for c in e for d in (c.re.denominator, c.im.denominator)))
+        scale *= s
+        m.append([gauss_poly_from(e, s) for e in row])
     size = len(m)
-    prev = [ONE]
+    prev = [(1, 0)]
     for k in range(size - 1):
-        if poly_is_zero(m[k][k]):
-            swap = next(
-                (r for r in range(k + 1, size) if not poly_is_zero(m[r][k])), None
-            )
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
             if swap is None:
                 return []
             m[k], m[swap] = m[swap], m[k]
             # a row swap flips the sign of the determinant
-            m[k] = [poly_scale(e, ComplexRational(-1)) for e in m[k]]
+            m[k] = [[(-a, -b) for a, b in e] for e in m[k]]
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                num = poly_sub(poly_mul(m[k][k], m[i][j]), poly_mul(m[i][k], m[k][j]))
-                m[i][j] = poly_divexact(num, prev) if prev != [ONE] else num
+                num = gauss_poly_mul_sub(m[k][k], m[i][j], m[i][k], m[k][j])
+                m[i][j] = gauss_poly_divexact(num, prev) if prev != [(1, 0)] else num
             m[i][k] = []
         prev = m[k][k]
-    return poly_trim(m[size - 1][size - 1])
+    return [ComplexRational(Fraction(a, scale), Fraction(b, scale))
+            for a, b in m[size - 1][size - 1]]
 
 
 def discriminant_z(curve: BivariateCurve):

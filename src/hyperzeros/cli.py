@@ -313,7 +313,8 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
 
 @cli.command("plot")
 @_data_option
-@click.option("--n", type=int, default=0, help="which roots file to scatter (0: the last by name)")
+@click.option("--n", type=int, default=0,
+              help="which roots file to scatter (0: the one with the largest n)")
 @_box_option
 @click.option("--with-regions", is_flag=True, default=False)
 @click.option("--width", type=int, default=720)
@@ -332,7 +333,10 @@ def cmd_plot(data, n, box, with_regions, width, out):
         if not chosen.exists():
             raise FileNotFoundError(f"{chosen} not found")
     else:
-        chosen = max(datadir.glob("roots_n*.txt"), default=None)
+        # names whose n is not an integer are not roots files of this package
+        numbered = [(int(p.stem[len("roots_n"):]), p) for p in datadir.glob("roots_n*.txt")
+                    if p.stem[len("roots_n"):].isdecimal()]
+        chosen = max(numbered)[1] if numbered else None
     roots = serialize.read_roots(chosen).as_complex_array() if chosen else np.array([])
     curves = [serialize.read_level_curve(f) for f in sorted(datadir.glob("level_*.csv"))]
     bp_file = datadir / "branch_points.txt"

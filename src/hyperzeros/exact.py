@@ -3,7 +3,10 @@
 Everything in this module is exact: unbounded integers underneath, no
 rounding anywhere.  All higher modules that claim zero-tolerance results
 (operator annihilation, rational-branch residuals, resultants) reduce to
-arithmetic here.
+arithmetic here.  Polynomials come in two forms: lists of ComplexRational,
+and lists of Gaussian integers as (re, im) int pairs, which skip the gcd
+normalisation of every Fraction operation.  The discriminant's
+fraction-free determinant runs on the second form.
 """
 
 from __future__ import annotations
@@ -242,8 +245,7 @@ def poly_eval(p, z: ComplexRational) -> ComplexRational:
 def poly_divexact(p, q):
     """Quotient p / q when the division is exact; raises otherwise.
 
-    Needed by the fraction-free determinant: Bareiss pivots always divide
-    exactly over an integral domain.
+    The ComplexRational counterpart of ``gauss_poly_divexact``.
     """
     p = poly_trim(p)
     q = poly_trim(q)
@@ -270,3 +272,71 @@ def poly_from_roots(roots):
     for r in roots:
         out = poly_mul(out, [-r, ONE])
     return out
+
+
+# -- Gaussian-integer polynomials -------------------------------------------
+#
+# A list of (re, im) int pairs, index k = coefficient of z^k, trimmed like
+# the ComplexRational form.
+
+
+def gauss_poly_from(p, scale):
+    """The trimmed Gaussian-integer polynomial scale * p, for a
+    ComplexRational list ``p`` whose denominators all divide ``scale``."""
+    return gauss_poly_trim([(c.re.numerator * (scale // c.re.denominator),
+                             c.im.numerator * (scale // c.im.denominator)) for c in p])
+
+
+def gauss_poly_trim(p):
+    while p and p[-1] == (0, 0):
+        p.pop()
+    return p
+
+
+def gauss_poly_mul_sub(a, b, c, d):
+    """a b - c d for Gaussian-integer polynomials, trimmed."""
+    n = max(len(a) + len(b), len(c) + len(d)) - 1
+    re = [0] * n
+    im = [0] * n
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re[i + j] += ar * br - ai * bi
+            im[i + j] += ar * bi + ai * br
+    for i, (cr, ci) in enumerate(c):
+        for j, (dr, di) in enumerate(d):
+            re[i + j] -= cr * dr - ci * di
+            im[i + j] -= cr * di + ci * dr
+    return gauss_poly_trim(list(zip(re, im)))
+
+
+def gauss_poly_divexact(p, q):
+    """Quotient p / q of Gaussian-integer polynomials when it is exact.
+
+    Raises ArithmeticError when a coefficient of the quotient is not a
+    Gaussian integer or the remainder is not zero, as ``poly_divexact``
+    does for an inexact division.
+    """
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not p:
+        return []
+    qr, qi = q[-1]
+    norm = qr * qr + qi * qi
+    rem_re = [c[0] for c in p]
+    rem_im = [c[1] for c in p]
+    out = [(0, 0)] * (len(p) - len(q) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        pr, pi = rem_re[k + len(q) - 1], rem_im[k + len(q) - 1]
+        # (pr + i pi) / (qr + i qi) = (pr + i pi)(qr - i qi) / norm
+        cr, xr = divmod(pr * qr + pi * qi, norm)
+        ci, xi = divmod(pi * qr - pr * qi, norm)
+        if xr or xi:
+            raise ArithmeticError("polynomial division was not exact")
+        out[k] = (cr, ci)
+        if cr or ci:
+            for j, (br, bi) in enumerate(q):
+                rem_re[k + j] -= cr * br - ci * bi
+                rem_im[k + j] -= cr * bi + ci * br
+    if any(rem_re) or any(rem_im):
+        raise ArithmeticError("polynomial division was not exact")
+    return gauss_poly_trim(out)

@@ -123,12 +123,13 @@ def _newton_polygon_seeds(coeffs, degree):
 
     The upper convex hull of (k, log|c_k|) splits the index range into edges;
     each edge of horizontal length m contributes m seeds on a circle of
-    radius exp(slope), which estimates the magnitudes of m roots.
+    radius exp(slope), which estimates the magnitudes of m roots.  The logs
+    need only float accuracy, so they come from ``_magnitude``.
     """
     logs = []
-    for k, c in enumerate(coeffs):
-        a = abs(c)
-        logs.append(-math.inf if a == 0 else float(mp.log(a)))
+    for c in coeffs:
+        m, e = _magnitude(c)
+        logs.append(-math.inf if m == 0 else math.log(m) + e * math.log(2))
     hull = []
     for k in range(degree + 1):
         if logs[k] == -math.inf:

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperzeros.algcurve import (
+    _sylvester_determinant,
     branch_points,
     branches_at,
     build_curve,
@@ -12,7 +14,17 @@ from hyperzeros.algcurve import (
     verify_rational_branches,
 )
 from hyperzeros.errors import InvalidInputError
-from hyperzeros.exact import ComplexRational, poly_eval, poly_is_zero
+from hyperzeros.exact import (
+    ComplexRational,
+    parse_complex_rational,
+    poly_divexact,
+    poly_eval,
+    poly_is_zero,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    poly_trim,
+)
 from hyperzeros.hyppoly import ParameterSchedule
 from hyperzeros.rootfinding import to_big_complex
 
@@ -20,8 +32,101 @@ CR = ComplexRational
 F = Fraction
 
 
+# the non-degenerate schedules of the benchmark's geometry workload
+ND3 = ParameterSchedule((-1, CR(F(1, 2), 1), 2), (0, 1, 0), (1, CR(F(3, 2), -1)), (0, 1))
+ND4 = ParameterSchedule((-1, CR(F(1, 2), 1), 2, CR(F(3, 4), F(-1, 2))), (0, 1, 0, 0),
+                        (1, CR(F(3, 2), -1), 3), (0, 1, 2))
+ND5 = ParameterSchedule((-1, CR(F(1, 2), 1), 2, CR(F(3, 4), F(-1, 2)), CR(F(5, 3), F(1, 7))),
+                        (0, 1, 0, 0, 0),
+                        (1, CR(F(3, 2), -1), 3, CR(F(2, 5), F(1, 3))), (0, 1, 2, 0))
+
+
 def curve_k(k):
     return build_curve(ParameterSchedule.loop_2f1(k))
+
+
+def reference_determinant(rows):
+    """Bareiss elimination on ComplexRational polynomials, the determinant
+    that the Gaussian-integer one replaced."""
+    m = [[list(e) for e in row] for row in rows]
+    size = len(m)
+    prev = [CR(1)]
+    for k in range(size - 1):
+        if poly_is_zero(m[k][k]):
+            swap = next((r for r in range(k + 1, size) if not poly_is_zero(m[r][k])), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            m[k] = [poly_scale(e, CR(-1)) for e in m[k]]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = poly_sub(poly_mul(m[k][k], m[i][j]), poly_mul(m[i][k], m[k][j]))
+                m[i][j] = poly_divexact(num, prev) if prev != [CR(1)] else num
+            m[i][k] = []
+        prev = m[k][k]
+    return poly_trim(m[size - 1][size - 1])
+
+
+def poly_rows(*rows):
+    """Rows of constant polynomials from numbers, 0 as the zero polynomial."""
+    return [[[CR(v)] if v else [] for v in row] for row in rows]
+
+
+_gauss_rational = st.builds(
+    lambda a, b, p, q: CR(F(a, p), F(b, q)),
+    st.integers(-6, 6), st.integers(-6, 6),
+    st.sampled_from([1, 2, 3, 4, 5, 7, 9]), st.sampled_from([1, 2, 3, 4, 5, 7, 9]),
+)
+_entry = st.lists(_gauss_rational, max_size=3)
+
+
+@st.composite
+def _matrices(draw):
+    size = draw(st.integers(1, 5))
+    rows = [[draw(_entry) for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        # a zero leading pivot forces the row swap
+        rows[0][0] = []
+    if size > 1 and draw(st.booleans()):
+        # a repeated row makes the matrix singular
+        rows[-1] = list(rows[0])
+    return rows
+
+
+class TestDeterminant:
+    @settings(max_examples=80, deadline=None)
+    @given(_matrices())
+    def test_matches_complex_rational_bareiss(self, rows):
+        assert _sylvester_determinant(rows) == reference_determinant(rows)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        assert _sylvester_determinant(poly_rows((0, 1), (1, 0))) == [CR(-1)]
+        # the (1, 1) pivot vanishes after the first elimination step
+        rows = poly_rows((1, 1, 0), (1, 1, 1), (0, 1, 1))
+        assert _sylvester_determinant(rows) == [CR(-1)] == reference_determinant(rows)
+
+    def test_singular_is_empty(self):
+        assert _sylvester_determinant(poly_rows((1, 2), (2, 4))) == []
+        assert _sylvester_determinant(poly_rows((0, 1), (0, 2))) == []
+        z = [CR(0), CR(F(1, 3), 1)]
+        assert _sylvester_determinant([[z, [CR(1)]], [poly_mul(z, z), z]]) == []
+
+    def test_denominators_divided_out(self):
+        rows = [[[CR(F(1, 2))], [CR(0, F(1, 3))]], [[CR(F(2, 5)), CR(1)], [CR(F(3, 7))]]]
+        assert _sylvester_determinant(rows) == [CR(F(3, 14), F(-2, 15)), CR(0, F(-1, 3))]
+
+    # recorded from the ComplexRational determinant
+    ND3_DISC = ["0", "0", "0", "0", "-63/16+1*i", "-45/16+60*i", "1633/8+26*i",
+                "-3857/8-140*i", "6077/16+53*i", "-1521/16"]
+    ND4_DISC = ["0"] * 9 + [
+        "4563/16+1521/4*i", "-46793/64-62047/32*i", "2692115/1024+19469/8*i",
+        "-3063445/2048-5478873/1024*i", "-3905033/16384+3135543/4096*i",
+        "-16717859/8192+1733189/2048*i", "178747919/65536+57939465/16384*i",
+        "-74424051/65536-11019645/16384*i"]
+
+    @pytest.mark.parametrize("sched, expected", [(ND3, ND3_DISC), (ND4, ND4_DISC)])
+    def test_pinned_discriminants(self, sched, expected):
+        assert discriminant_z(build_curve(sched)) == [parse_complex_rational(c) for c in expected]
 
 
 class TestBuildCurve:
@@ -153,6 +258,19 @@ class TestBranchPoints:
         assert not bps.degenerate
         assert len(bps.points) >= 1
         # every reported point collapses two branches
+        for p in bps.points:
+            ws = branches_at(curve, p, 160)
+            gaps = [abs(a - b) for i, a in enumerate(ws) for b in ws[i + 1:]]
+            assert min(gaps) < 1e-20
+
+    def test_general_route_on_five_slopes(self):
+        # degree-25 discriminant: 8 branch points, 17 roots at the singular 0 and 1
+        assert not ND5.is_degenerate
+        curve = build_curve(ND5)
+        assert len(discriminant_z(curve)) == 26
+        bps = branch_points(curve, ND5, 160)
+        assert len(bps.points) == 8
+        assert len(bps.excluded_singular) == 17
         for p in bps.points:
             ws = branches_at(curve, p, 160)
             gaps = [abs(a - b) for i, a in enumerate(ws) for b in ws[i + 1:]]

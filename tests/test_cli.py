@@ -159,6 +159,15 @@ class TestRootsAndVerify:
         code = run("plot", "--out", tmp_path / "empty")
         assert code == 4
 
+    def test_plot_scatters_largest_n(self, sched_file, tmp_path):
+        # by name roots_n9.txt sorts after roots_n10.txt; an unparsable n is skipped
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", "9,10", "--precision", 128,
+                   "--out", out) == 0
+        (out / "roots_nx.txt").write_text("not a roots file\n")
+        assert run("plot", "--out", out) == 0
+        assert (out / "figure.svg").read_text().count('r="2.2"') == 10
+
     @pytest.mark.parametrize("command", [
         ("verify", "--experiments", "kscore", "--n-list", 4),
         ("plot", "--with-regions"),

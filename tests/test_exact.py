@@ -7,6 +7,9 @@ from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import (
     ComplexRational,
     format_complex_rational,
+    gauss_poly_divexact,
+    gauss_poly_from,
+    gauss_poly_mul_sub,
     parse_complex_rational,
     poly_add,
     poly_divexact,
@@ -96,3 +99,35 @@ def test_poly_divexact_rejects_inexact():
 def test_poly_from_roots():
     p = poly_from_roots([CR(1), CR(-1)])
     assert p == [CR(-1), CR(0), CR(1)]
+
+
+def test_gauss_poly_from_scales_and_trims():
+    p = [CR(Fraction(1, 2), Fraction(-1, 3)), CR(2), CR(0)]
+    assert gauss_poly_from(p, 6) == [(3, -2), (12, 0)]
+    assert gauss_poly_from([CR(0)], 1) == []
+
+
+gauss_polys = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4).map(
+    lambda p: gauss_poly_from([CR(a, b) for a, b in p], 1))
+
+
+@given(gauss_polys, gauss_polys, gauss_polys, gauss_polys)
+def test_gauss_mul_sub_and_divexact(a, b, c, d):
+    prod = gauss_poly_mul_sub(a, b, c, d)
+    to_cr = lambda p: [CR(x, y) for x, y in p]
+    assert to_cr(prod) == poly_sub(poly_mul(to_cr(a), to_cr(b)), poly_mul(to_cr(c), to_cr(d)))
+    if b:
+        assert gauss_poly_divexact(gauss_poly_mul_sub(a, b, [], []), b) == a
+
+
+def test_gauss_poly_divexact_rejects_inexact():
+    # a quotient coefficient outside the Gaussian integers: (1 + z) / (1 + 2z)
+    with pytest.raises(ArithmeticError):
+        gauss_poly_divexact([(1, 0), (1, 0)], [(1, 0), (2, 0)])
+    # Gaussian-integer quotient z - 1 with remainder 2: (z^2 + 1) / (z + 1)
+    with pytest.raises(ArithmeticError):
+        gauss_poly_divexact([(1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)])
+    # (1 + i) / 2 is not a Gaussian integer
+    with pytest.raises(ArithmeticError):
+        gauss_poly_divexact([(1, 1)], [(2, 0)])
+    assert gauss_poly_divexact([(2, 2)], [(1, 1)]) == [(2, 0)]
