@@ -132,16 +132,21 @@ def cmd_roots(schedule, n_list, precision, out):
 @click.option("--precision", type=int, default=128)
 @_out_option
 def cmd_curve(schedule, precision, out):
-    """Export the limit curve A(z, w) and its branch points."""
+    """Export the limit curve A(z, w) and its branch points.
+
+    The branch points are computed and written at min(precision, 256) bits,
+    and the manifest records those bits.
+    """
     from .algcurve import branch_points, build_curve
 
     spath, sched = _resolve_schedule(schedule)
     outdir = _outdir(out)
     curve = build_curve(sched)
     serialize.write_curve(outdir / "curve.txt", curve)
-    bps = branch_points(curve, sched, min(precision, 256))
-    serialize.write_branch_points(outdir / "branch_points.txt", bps, min(precision, 256))
-    serialize.write_manifest(outdir, "curve", {"precision": precision, "schedule": str(spath)},
+    bits = min(precision, 256)
+    bps = branch_points(curve, sched, bits)
+    serialize.write_branch_points(outdir / "branch_points.txt", bps, bits)
+    serialize.write_manifest(outdir, "curve", {"precision": bits, "schedule": str(spath)},
                              {"schedule": spath})
     click.echo(f"wrote curve.txt and branch_points.txt ({len(bps.points)} branch points)")
 

@@ -4,10 +4,12 @@ Each branch w = f_i(z) of the limit curve integrates to a harmonic function
 H_i(z) = Re int_p^z f_i(s) ds on a simply connected set avoiding {0, 1}.
 For degenerate schedules the branches are rational and the H_i have closed
 forms; otherwise values are obtained by quadrature along paths with branch
-tracking.  One routine does all such quadrature, for harmonic values and for
+tracking.  One routine does all quadrature, for harmonic values and for
 integral-mode level curves alike: adaptive Gauss-Kronrod 7/15 steps that
-track every branch they integrate together and take their error estimate
-from the embedded Gauss rule.
+integrate every branch together and take their error estimate from the
+embedded Gauss rule.  Each mode has one source of branch values at the
+nodes: closed mode evaluates the rational branches, and integral mode alone
+tracks the roots of A(z, .) from node to node.
 
 Shifted copies H~_i = H_i + (H_1(p_i) - H_i(p_i)) agree with H_1 at the
 branch point p_i; their pairwise level sets carry the conjectured zero
@@ -230,13 +232,10 @@ class _BranchTracker:
         ``np.roots`` builds for the w-polynomials A(z, .), solved in one
         stacked call.  They end before the first point where the leading
         coefficient vanishes, z is at the singular 0, or the matrix is not
-        finite; the caller raises there when it reaches that point.  An
-        empty ``zs`` gives an empty (0, degree) array.
+        finite; the caller raises there when it reaches that point.
         """
         degree = len(self.m) - 1
-        coeffs = np.array(
-            [w_coefficients(self.m, self.n, z)[::-1] for z in zs], dtype=complex
-        ).reshape(len(zs), degree + 1)
+        coeffs = np.array([w_coefficients(self.m, self.n, z)[::-1] for z in zs], dtype=complex)
         mats = np.zeros((len(zs), degree, degree), dtype=complex)
         mats[:, range(1, degree), range(degree - 1)] = 1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -263,7 +262,7 @@ class _BranchTracker:
             raise InvalidInputError(f"branch indices {tuple(indices)} out of range 1..{len(ws)}")
         return [ws[i - 1] for i in indices]
 
-    def track(self, zs, w, overrides=None) -> tuple:
+    def track(self, zs, w) -> tuple:
         """Continue the branches with values ``w`` (an array) through the
         points ``zs`` in turn.
 
@@ -272,57 +271,48 @@ class _BranchTracker:
         each point reached.  The walk stops after the first point where some
         move exceeds a quarter of the separation from its branch to the
         nearest other branch, with margin_ok False (the caller should shorten
-        its step).  ``overrides[k]``, when not None, replaces the values at
-        ``zs[k]`` and the next point matches from it.
+        its step).
 
-        All points are solved by one ``branches`` call, and the nearest-branch
-        maps between consecutive points and every branch's separation are
-        computed for all points at once.  A degenerate point raises
-        InvalidInputError, and a separation below MIN_BRANCH_SEPARATION
-        raises BranchCollisionError, only when the walk reaches that point.
+        All points are solved by one ``branches`` call.  The nearest-branch
+        index maps are composed row by row; then the collision and margin
+        checks run on all rows at once, and the walk is cut at the first row
+        that fails.  At that row a separation below MIN_BRANCH_SEPARATION
+        raises BranchCollisionError before a margin failure counts, and a
+        degenerate point raises InvalidInputError only when every point
+        before it passed.
         """
-        if overrides is None:
-            overrides = [None] * len(zs)
-        ws = self.branches([z for z, o in zip(zs, overrides) if o is None])
-        # nearest[r][i] is the branch of row r + 1 nearest to branch i of row
-        # r, at distance moved[r][i]; sep[r][i] is the distance from branch i
-        # of row r to its nearest other branch (the smallest distance is 0,
-        # its own)
+        ws = self.branches(zs)
+        if not len(ws):
+            raise _degenerate(zs[0])
+        # chosen[r] holds the branches of row r that the values follow, which
+        # they reached by moving moved[r]; nearest[r][i] is the branch of row
+        # r + 1 nearest to branch i of row r, at distance gap[r][i]
+        dists = np.abs(w[:, None] - ws[0])
         gaps = np.abs(ws[:-1, :, None] - ws[1:, None, :])
-        nearest, moved = gaps.argmin(axis=2), gaps.min(axis=2)
-        sep = None
+        nearest, gap = gaps.argmin(axis=2), gaps.min(axis=2)
+        chosen = [dists.argmin(axis=1).tolist()]
+        for step in nearest.tolist():
+            chosen.append([step[c] for c in chosen[-1]])
+        rows, chosen = np.arange(len(ws))[:, None], np.array(chosen)
+        values = ws[rows, chosen]
         if ws.shape[1] > 1:
-            sep = np.sort(np.abs(ws[:, :, None] - ws[:, None, :]), axis=2)[:, :, 1]
-        values = []
-        row = 0
-        chosen = None  # indices into the previous row that the values came from
-        for z, override in zip(zs, overrides):
-            if override is not None:
-                w, chosen = override, None
-                values.append(w)
-                continue
-            if row == len(ws):
-                raise _degenerate(z)
-            if chosen is None:
-                dists = np.abs(w[:, None] - ws[row])
-                chosen, move = dists.argmin(axis=1), dists.min(axis=1)
-            else:
-                chosen, move = nearest[row - 1][chosen], moved[row - 1][chosen]
-            w = ws[row][chosen]
-            values.append(w)
-            ok = True
-            if sep is not None:
-                s = sep[row][chosen]
-                if s.min() < MIN_BRANCH_SEPARATION:
+            moved = np.concatenate([dists.min(axis=1)[None], gap[rows[:-1], chosen[:-1]]])
+            # the distance from each followed branch to its nearest other one
+            # (the smallest distance is 0, its own)
+            sep = np.sort(np.abs(ws[:, :, None] - ws[:, None, :]), axis=2)[rows, chosen, 1]
+            collided = sep.min(axis=1) < MIN_BRANCH_SEPARATION
+            failed = collided | ~(moved <= sep / 4).all(axis=1)
+            if failed.any():
+                k = int(failed.argmax())
+                if collided[k]:
                     raise BranchCollisionError(
-                        f"branches collide near z = {z} (separation {s.min():.2e}); "
+                        f"branches collide near z = {zs[k]} (separation {sep[k].min():.2e}); "
                         "reroute the path",
-                        where=z,
+                        where=zs[k],
                     )
-                ok = bool((move <= s / 4).all())
-            row += 1
-            if not ok:
-                return values, False
+                return values[:k + 1], False
+        if len(ws) < len(zs):
+            raise _degenerate(zs[len(ws)])
         return values, True
 
 
@@ -343,22 +333,20 @@ _QK15 = np.array([
 _GK_X, _K15_W, _G7_W = np.concatenate([_QK15 * (-1, 1, 1), _QK15[-2::-1], [(1, 0, 0)]]).T
 
 
-def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
-    """Integrals of tracked branches along the segment [a, b]; returns
+def _integrate(branch_values, a: complex, b: complex, ws):
+    """Integrals of branches along the segment [a, b]; returns
     (integrals, ws_end).
 
-    ``ws`` holds the values at a of the branches to integrate; all of them
-    are tracked together through each step's 16 nodes by one
-    ``_BranchTracker.track`` call, which solves the nodes' w-polynomials in
-    one stacked eigenvalue call.  Each step is a Gauss-Kronrod 7/15 pass
-    whose error estimate |K15 - G7| reuses the step's own nodes.  A step is
-    halved when that estimate exceeds QUAD_TOL * max(1, |b - a|) or a branch
-    moves more than a quarter of its separation, and doubled after an
-    estimate below QUAD_TOL / 100.  ``reanchor(s)`` may return closed-form
-    branch values to take instead of the tracked ones (near branch points,
-    where nearest-value matching is ill-conditioned), or None to keep
-    tracking.  A step below 1e-12 of the segment raises BranchCollisionError
-    so the caller can reroute.
+    ``ws`` holds the values at a of the branches to integrate.
+    ``branch_values(nodes, ws)`` gives their values at each step's 16 nodes
+    as (values, ok), one row per node reached, with ok False when the step
+    should be shortened: ``_BranchTracker.track`` in integral mode, the
+    closed-form branches in closed mode.  Each step is a Gauss-Kronrod 7/15
+    pass whose error estimate |K15 - G7| reuses the step's own nodes.  A
+    step is halved when that estimate exceeds QUAD_TOL * max(1, |b - a|) or
+    ok is False, and doubled after an estimate below QUAD_TOL / 100.  A step
+    below 1e-12 of the segment raises BranchCollisionError so the caller can
+    reroute.
     """
     ws = np.asarray(ws, dtype=complex)
     total = np.zeros_like(ws)
@@ -370,10 +358,8 @@ def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
         a0 = a + (b - a) * t
         half = (b - a) * dt / 2
         nodes = [a0 + half * (1 + x) for x in _GK_X]
-        overrides = [reanchor(s) for s in nodes] if reanchor is not None else None
-        vals, ok = tracker.track(nodes, ws, overrides)
+        vals, ok = branch_values(nodes, ws)
         if ok:
-            vals = np.array(vals)
             kronrod = half * (_K15_W @ vals)
             err = float(np.max(np.abs(kronrod - half * (_G7_W @ vals))))
             ok = err <= limit
@@ -395,33 +381,32 @@ def _integrate(tracker, a: complex, b: complex, ws, reanchor=None):
 
 
 def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None) -> float:
-    """H_i(z) = Re int_p^z f_i(s) ds by adaptive quadrature with branch tracking.
+    """H_i(z) = Re int_p^z f_i(s) ds by adaptive quadrature.
 
     The path (polyline from the basepoint to z, default the straight
-    segment) must avoid {0, 1} and the branch points.  Each segment is one
-    ``_integrate`` call, so the branch is tracked to the nearest value, steps
-    shorten where it nears another branch, and a genuine collision raises
-    BranchCollisionError so the caller can reroute.
+    segment) must avoid {0, 1}, and in integral mode the branch points.
+    Each segment is one ``_integrate`` call.  In closed mode the quadrature evaluates the
+    rational branch f_i at each step's nodes, and a node within
+    SINGULAR_GUARD of 0 or 1 raises InvalidInputError.  In integral mode it
+    tracks the branch to the nearest value, steps shorten where it nears
+    another branch, and a genuine collision raises BranchCollisionError so
+    the caller can reroute.
     """
     pts = [sys.basepoint] + ([complex(w) for w in path] if path else []) + [complex(z)]
-    tracker = _BranchTracker(sys.curve)
     if sys.mode == "closed":
-        w = [complex(sys.branch_value(i, sys.basepoint))]
-        bpts = sys.branch_point_list
+        def branch_values(nodes, _ws):
+            nodes = np.array(nodes)
+            sys._check_singular(nodes)
+            return sys.branch_value(i, nodes)[:, None], True
 
-        def reanchor(s, _i=i):
-            # nearest-value matching degenerates where branches collide;
-            # the closed form disambiguates there
-            if min(abs(s - b) for b in bpts) < 0.05:
-                return np.array([complex(sys.branch_value(_i, s))])
-            return None
-
+        w = [sys.branch_value(i, sys.basepoint)]
     else:
+        tracker = _BranchTracker(sys.curve)
+        branch_values = tracker.track
         w = tracker.select(sys.basepoint, (i,))
-        reanchor = None
     total = 0j
     for a, b in zip(pts[:-1], pts[1:]):
-        seg, w = _integrate(tracker, a, b, w, reanchor)
+        seg, w = _integrate(branch_values, a, b, w)
         total += seg[0]
     return float(total.real)
 
@@ -505,7 +490,7 @@ class _IntegralLevelFunction:
         if z == self.anchor:
             f, wi, wj = self.f_anchor, self.wi, self.wj
         else:
-            (ii, ij), (wi, wj) = _integrate(self.tracker, self.anchor, z, (self.wi, self.wj))
+            (ii, ij), (wi, wj) = _integrate(self.tracker.track, self.anchor, z, (self.wi, self.wj))
             f = float(self.f_anchor + (ii - ij).real)
         self._last = (z, f, wi, wj)
         return f

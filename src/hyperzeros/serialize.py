@@ -81,13 +81,16 @@ def schedule_from_json(text: str) -> ParameterSchedule:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"schedule file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError("schedule file is not a JSON object")
     for key in ("A", "B", "alphas", "cs", "betas", "ds"):
         if key not in doc:
             raise InvalidInputError(f"schedule file lacks field {key!r}")
-    alphas = [parse_complex_rational(s) for s in doc["alphas"]]
-    cs = [parse_complex_rational(s) for s in doc["cs"]]
-    betas = [parse_complex_rational(s) for s in doc["betas"]]
-    ds = [parse_complex_rational(s) for s in doc["ds"]]
+    for key in ("alphas", "cs", "betas", "ds"):
+        if not (isinstance(doc[key], list) and all(isinstance(s, str) for s in doc[key])):
+            raise InvalidInputError(f"schedule field {key!r} is not a list of strings")
+    alphas, cs, betas, ds = ([parse_complex_rational(s) for s in doc[key]]
+                             for key in ("alphas", "cs", "betas", "ds"))
     if len(alphas) != doc["A"] or len(betas) != doc["B"]:
         raise InvalidInputError("schedule lengths disagree with declared A, B")
     return ParameterSchedule(alphas, cs, betas, ds)
@@ -269,20 +272,21 @@ def read_level_curve(path) -> LevelCurve:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             toks = line.split()
-            if "pair" in toks:
-                pair = tuple(int(x) for x in toks[toks.index("pair") + 2].split(","))
-            if "closed" in toks:
-                closed = toks[toks.index("closed") + 2] == "True"
-            if "hit_cut" in toks:
-                hit_cut = toks[toks.index("hit_cut") + 2] == "True"
-            if "criticals" in toks:
-                field = toks[toks.index("criticals") + 2]
-                texts = [] if field == "none" else field.replace("+-", "-").split(";")
-                try:
+            try:
+                if "pair" in toks:
+                    i, j = toks[toks.index("pair") + 2].split(",")
+                    pair = (int(i), int(j))
+                if "closed" in toks:
+                    closed = toks[toks.index("closed") + 2] == "True"
+                if "hit_cut" in toks:
+                    hit_cut = toks[toks.index("hit_cut") + 2] == "True"
+                if "criticals" in toks:
+                    field = toks[toks.index("criticals") + 2]
+                    texts = [] if field == "none" else field.replace("+-", "-").split(";")
                     criticals = tuple(CriticalPoint(complex(t.replace("i", "j")), ()) for t in texts)
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}, line {lineno}: malformed criticals {field!r}") from None
+            except (IndexError, ValueError):
+                raise InvalidInputError(
+                    f"{path}, line {lineno}: malformed header {line[:80]!r}") from None
             continue
         if not line or line.startswith("index"):
             continue

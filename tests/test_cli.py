@@ -202,6 +202,25 @@ class TestRootsAndVerify:
         assert f"{damaged}, line " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("header", ["# level curve pair = x,2 closed = True",
+                                        "# level curve pair"], ids=["bad-pair", "cut-header"])
+    def test_malformed_level_header_exit_two(self, sched_file, tmp_path, capsys, header):
+        out = tmp_path / "out"
+        assert run("levels", "--schedule", sched_file, "--out", out) == 0
+        path = out / "level_1_2.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\n" + "".join(rows[1:]))
+        assert run("plot", "--out", out) == 2
+        assert "level_1_2.csv, line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision, recorded", [(None, 128), (512, 256)])
+    def test_curve_manifest_records_bits_used(self, sched_file, tmp_path, precision, recorded):
+        out = tmp_path / "out"
+        flags = ["--precision", precision] if precision else []
+        assert run("curve", "--schedule", sched_file, *flags, "--out", out) == 0
+        manifest = json.loads((out / "manifest_curve.json").read_text())
+        assert manifest["config"]["precision"] == recorded
+
     def test_roots_file_cut_on_row_boundary_exit_two(self, sched_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("roots", "--schedule", sched_file, "--n-list", 6, "--precision", 128,

@@ -139,6 +139,14 @@ class TestIntegration:
             hv = float(sys_k1.harmonic(i, z))
             assert abs(harmonic_value_by_integration(sys_k1, i, z) - hv) < 1e-10
 
+    @pytest.mark.parametrize("z", [0j, 1 + 0j])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_singular_endpoint_rejected(self, sys_k1, i, z):
+        # the closed forms are singular at 0 and 1 for every branch, so the
+        # quadrature rejects them as ``harmonic`` does
+        with pytest.raises(InvalidInputError):
+            harmonic_value_by_integration(sys_k1, i, z)
+
     def test_integral_mode_machinery(self):
         sched = ParameterSchedule((-1, 1), (0, 1), (F(9, 8),), (1,))
         sys_ = make_harmonic_system(sched, basepoint=2.0 + 1.0j)
@@ -271,14 +279,11 @@ class TestIntegralModeTrace:
         assert abs((v2 - v0) / h - (-w.imag)) < 1e-4
 
 
-def _reference_integrate(tracker, a, b, ws, reanchor=None):
+def _reference_integrate(tracker, a, b, ws):
     """``_integrate`` as a chain of single-point steps, one ``np.roots`` solve
     per node: the reference the batched tracker must reproduce exactly."""
 
     def step(s, w_prev):
-        override = reanchor(s) if reanchor is not None else None
-        if override is not None:
-            return override, True
         coeffs = w_coefficients(tracker.m, tracker.n, s)
         if abs(coeffs[-1]) == 0 or abs(s) < SINGULAR_GUARD:
             raise InvalidInputError(f"branch values degenerate at z = {s}")
@@ -335,7 +340,7 @@ class TestBatchedTracker:
     def test_forced_integral_k1_segment(self, sys_k1, a, b):
         tracker = _BranchTracker(_forced_integral(sys_k1).curve)
         ws = tracker.select(a, (1, 2))
-        got = _integrate(tracker, a, b, ws)
+        got = _integrate(tracker.track, a, b, ws)
         ref = _reference_integrate(tracker, a, b, ws)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
@@ -345,23 +350,8 @@ class TestBatchedTracker:
         tracker = _BranchTracker(sys_.curve)
         a = sys_.basepoint
         ws = tracker.select(a, (1, 2, 3))
-        got = _integrate(tracker, a, b, ws)
+        got = _integrate(tracker.track, a, b, ws)
         ref = _reference_integrate(tracker, a, b, ws)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
-    def test_reanchored_closed_segment(self, sys_k1):
-        # starts at the branch point 1/2, where closed forms replace matching
-        tracker = _BranchTracker(sys_k1.curve)
-
-        def reanchor(s):
-            if abs(s - 0.5) < 0.05:
-                return np.array([complex(sys_k1.branch_value(2, s))])
-            return None
-
-        a, b = sys_k1.basepoint, 1.3 + 0.4j
-        ws = [complex(sys_k1.branch_value(2, a))]
-        got = _integrate(tracker, a, b, ws, reanchor)
-        ref = _reference_integrate(tracker, a, b, ws, reanchor)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_margin_failure_before_degenerate_node_halves(self, sys_k1):
@@ -378,7 +368,7 @@ class TestBatchedTracker:
         with pytest.raises(InvalidInputError):
             tracker.track(nodes[7:], ws)
         with pytest.raises(BranchCollisionError) as got:
-            _integrate(tracker, a, b, ws)
+            _integrate(tracker.track, a, b, ws)
         with pytest.raises(BranchCollisionError) as ref:
             _reference_integrate(tracker, a, b, ws)
         assert got.value.where == ref.value.where
@@ -393,20 +383,10 @@ class TestBatchedTracker:
         with pytest.raises(InvalidInputError):
             tracker.track([1.0 + 0j], w)
 
-    def test_all_nodes_reanchored(self, sys_k1):
-        # every node of the step lies within 0.05 of the branch point 1/2, so
-        # no node is solved and the values come from the closed form alone
-        tracker = _BranchTracker(sys_k1.curve)
-        assert tracker.branches([]).shape == (0, 2)
-        nodes = [0.5 + 0.01 * x for x in _GK_X]
-        closed = [np.array([complex(sys_k1.branch_value(2, s))]) for s in nodes]
-        values, ok = tracker.track(nodes, np.array(closed[0]), closed)
-        assert ok and all(np.array_equal(v, c) for v, c in zip(values, closed))
-
 
 class TestIntegrationNearBranchPoints:
-    """Closed-mode integrals whose steps lie wholly inside the reanchoring
-    disk around a branch point."""
+    """Closed-mode integrals whose steps lie wholly within 0.05 of a branch
+    point, where nearest-value tracking would be ill-conditioned."""
 
     @pytest.mark.parametrize("z", [0.5 + 0j, 0.52 + 0j, 0.5 + 0.03j, 0.47 - 0.02j])
     @pytest.mark.parametrize("i", [1, 2])

@@ -35,9 +35,14 @@ class TestSchedule:
         back = serialize.read_schedule(path)
         assert back == CONJ
 
-    def test_rejects_malformed(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"A": 2}',
+        "3",
+        '{"A": 2, "B": 0, "alphas": [-1, 1], "cs": ["0", "1"], "betas": [], "ds": []}',
+    ], ids=["missing-fields", "not-an-object", "number-slopes"])
+    def test_rejects_malformed(self, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text('{"A": 2}')
+        path.write_text(text)
         with pytest.raises(InvalidInputError):
             serialize.read_schedule(path)
 
@@ -137,6 +142,14 @@ class TestLevelCurve:
         serialize.write_level_curve(path, curve)
         assert path.read_text().splitlines()[0].endswith("criticals = none")
         assert serialize.read_level_curve(path).critical_points == ()
+
+    @pytest.mark.parametrize("header", ["# level curve pair = x,2 closed = True",
+                                        "# level curve pair"], ids=["bad-pair", "cut-header"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "level.csv"
+        path.write_text(f"{header}\nindex,re,im,residual\n0,1.5,0,0.000e+00\n")
+        with pytest.raises(InvalidInputError, match="level.csv, line 1"):
+            serialize.read_level_curve(path)
 
     def test_roundtrip_hit_cut(self, tmp_path):
         # the left lobe of the lemniscate, whose trace stops at the Arg cut
