@@ -153,19 +153,25 @@ _CR_IMAG = _re.compile(r"^\s*(?P<im>[+-]?\d+(?:/\d+)?)\s*\*\s*i\s*$")
 
 
 def parse_complex_rational(text: str) -> ComplexRational:
-    """Parse the exchange form ``p/q+r/s*i`` (also accepts ``p/q`` and ``r/s*i``)."""
-    m = _CR_FULL.match(text)
-    if m:
-        im = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im = -im
-        return ComplexRational(Fraction(m.group("re")), im)
-    m = _CR_REAL.match(text)
-    if m:
-        return ComplexRational(Fraction(m.group("re")))
-    m = _CR_IMAG.match(text)
-    if m:
-        return ComplexRational(0, Fraction(m.group("im")))
+    """Parse the exchange form ``p/q+r/s*i`` (also accepts ``p/q`` and ``r/s*i``).
+
+    Raises InvalidInputError on any other text, a zero denominator included.
+    """
+    try:
+        m = _CR_FULL.match(text)
+        if m:
+            im = Fraction(m.group("im"))
+            if m.group("sign") == "-":
+                im = -im
+            return ComplexRational(Fraction(m.group("re")), im)
+        m = _CR_REAL.match(text)
+        if m:
+            return ComplexRational(Fraction(m.group("re")))
+        m = _CR_IMAG.match(text)
+        if m:
+            return ComplexRational(0, Fraction(m.group("im")))
+    except ZeroDivisionError:
+        raise InvalidInputError(f"zero denominator in complex rational {text!r}") from None
     raise InvalidInputError(f"cannot parse complex rational {text!r}")
 
 

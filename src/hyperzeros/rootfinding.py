@@ -15,7 +15,12 @@ adaptive-precision Aberth of MPSolve; Bini & Robol, J. Comput. Appl.
 Math. 272, 2014).  The sweeps run in fixed point on
 Gaussian integers (CPython ints) after a block exponent scales the
 coefficients, and stop at the noise floor of a floating-point evaluation
-at the rung's precision.  Every root is then certified a posteriori at the
+at the rung's precision.  Only the pairwise Aberth sum is sized to the
+step's error budget: an error e in it moves the step by about |N|^2 e,
+N = p/p', so most root updates of a high-degree solve take it in complex128
+from float copies of the iterates, and the rest take the exact integer sum
+on a grid just fine enough for the step (the mixed float/multiprecision
+Aberth of MPSolve, ibid.).  Every root is then certified a posteriori at the
 target rung by a running-error Horner bound, in the same fixed-point
 arithmetic: the sweeps and the certificates share one Horner loop, the
 certificates add its rounding error as an explicit term, and they carry
@@ -57,6 +62,16 @@ from .hyppoly import HypPolynomial
 
 DEFAULT_PRECISION = 512
 MAX_PRECISION = 4096
+
+# The complex128 pass over the Aberth sum pays for itself from this degree,
+# and once the degree times the grid's bits b reaches the second bound.  On
+# a 2-core Xeon under CPython 3.11 the integer loop costs about
+# deg (0.3 + b/400) us per root update, the float pass about 5 us plus
+# 0.25 us per pair.  Below either bound every sum takes the integer loop.
+_FLOAT_SUM_MIN_DEGREE = 8
+_FLOAT_SUM_MIN_WORK = 1280
+_FLOAT_TINY = 2.0 ** -1022  # the smallest normal double
+_FLOAT_CLOSE = 2.0 ** 40  # |1/d_j| |z_i| at or above this: the pair is close
 
 
 def fraction_to_mpf(f: Fraction, prec: int) -> mp.mpf:
@@ -124,7 +139,9 @@ def _newton_polygon_seeds(coeffs, degree):
     The upper convex hull of (k, log|c_k|) splits the index range into edges;
     each edge of horizontal length m contributes m seeds on a circle of
     radius exp(slope), which estimates the magnitudes of m roots.  The logs
-    need only float accuracy, so they come from ``_magnitude``.
+    need only float accuracy, so they come from ``_magnitude``.  A radius
+    beyond about 2^+-1000 is carried as a float times 2^e, so the seeds
+    leave double range without overflowing or collapsing to 0.
     """
     logs = []
     for c in coeffs:
@@ -145,12 +162,15 @@ def _newton_polygon_seeds(coeffs, degree):
     for e in range(len(hull) - 1):
         (k1, v1), (k2, v2) = hull[e], hull[e + 1]
         m = k2 - k1
-        r = math.exp((v1 - v2) / m)
+        log_r = (v1 - v2) / m
+        scale = round(log_r / math.log(2)) if abs(log_r) > 700 else 0
+        r = math.exp(log_r - scale * math.log(2))
         for j in range(m):
             # fixed irrational-ish offsets break the rotational symmetry that
             # locks simultaneous iterations
             th = 2.0 * math.pi * j / m + 0.4 + float(e)
-            seeds.append(mp.mpc(r * math.cos(th), r * math.sin(th)))
+            seeds.append(mp.mpc(mp.ldexp(r * math.cos(th), scale),
+                                mp.ldexp(r * math.sin(th), scale)))
     return seeds
 
 
@@ -279,17 +299,102 @@ def _fixed_horner(coeffs, xr, xi, b):
     return vr, vi, dr, di, pt
 
 
+def _grid_float(x, one):
+    """x / one as a float, infinite where it overflows."""
+    try:
+        return x / one
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _in_double_range(x):
+    """A complex128 copy can stand for its iterate: |x| finite and normal."""
+    return _FLOAT_TINY <= math.hypot(x.real, x.imag) < math.inf
+
+
+def _float_sum(zf, i):
+    """(S, A, top) over the complex128 copies ``zf``: S = sum_j 1/d_j,
+    A = sum_j |1/d_j| and top = max_j |1/d_j|, d_j = z_i - z_j over j != i;
+    None when a pair is close, |d_j| <= 2^-40 |z_i|, or a value leaves
+    double range."""
+    x = zf[i]
+    try:
+        rs = [1 / (x - y) for y in zf[:i]] + [1 / (x - y) for y in zf[i + 1:]]
+        ars = [abs(r) for r in rs]
+    except (ZeroDivisionError, OverflowError):
+        return None
+    top = max(ars)
+    total = sum(ars)
+    if not (total >= _FLOAT_TINY and top * abs(x) < _FLOAT_CLOSE):
+        return None
+    return sum(rs), total, top
+
+
+def _float_to_grid(x, b):
+    """floor(x 2^b) for a finite float x, exactly: to_fixed(from_float(x), b)
+    in an eighth of its time."""
+    m, e = math.frexp(x)
+    k = int(m * 9007199254740992.0)  # the 53-bit mantissa, an integer
+    e += b - 53
+    return k << e if e >= 0 else k >> -e
+
+
+def _pair_sum(xr, xi, zr, zi, pair_num, extra):
+    """sum_j 1/(x - z_j) on a grid 2^-h, x and the z_j as integer pairs.
+
+    1/u = conj(u) 2^2h / |u|^2 on the grid takes one division,
+    t = pair_num // |u|^2 with pair_num = 2^(2h + extra); extra >= bits of
+    u keeps each term within two grid units.  u = 0 (z_j = x) adds nothing.
+    """
+    sr = si = 0
+    for yr, yi in zip(zr, zi):
+        ur = xr - yr
+        ui = xi - yi
+        uu = ur * ur + ui * ui
+        if uu:
+            t = pair_num // uu
+            sr += ur * t
+            si -= ui * t
+    return sr >> extra, si >> extra
+
+
+def _budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra, pair_num):
+    """(sr, si, on_floats): the Aberth sum of root i on the grid 2^-b, as
+    accurate as the step needs (see ``_aberth_phase``)."""
+    xr = zr[i]
+    xi = zi[i]
+    sums = _float_sum(zf, i)
+    if sums is None:
+        return *_pair_sum(xr, xi, zr, zi, pair_num, extra), False
+    s, total, top = sums
+    nn = nr * nr + ni * ni
+    log_n = 0.5 * nn.bit_length() - b
+    log_tol = tol_base + pt.bit_length() - 0.5 * dd.bit_length()
+    log_a = math.log2(total)
+    if not nn or log_n + log_a >= -45 or 2 * log_n + log_a - 48 <= log_tol:
+        return _float_to_grid(s.real, b), _float_to_grid(s.imag, b), True
+    h = math.ceil(2 * log_n + math.log2(top) + log_a - log_tol) + 24
+    sh = b - min(b, max(h, 1))
+    if not sh:
+        return *_pair_sum(xr, xi, zr, zi, pair_num, extra), False
+    ex = max(extra - sh, 0)
+    sr, si = _pair_sum(xr >> sh, xi >> sh, [y >> sh for y in zr], [y >> sh for y in zi],
+                       1 << (2 * (b - sh) + ex), ex)
+    return sr << sh, si << sh, False
+
+
 def _aberth_phase(c, z, wp, spread, cap):
     """Run Ehrlich-Aberth sweeps until every root's correction sinks below its
-    evaluation-noise floor; returns (z, sweeps, active_left).
+    evaluation-noise floor; returns (z, sweeps, active_left, float_sums,
+    integer_sums).
 
     The sweeps run in fixed point on Gaussian integers.  ``_fixed_coeffs``
     scales the coefficients by a block exponent and puts them, like the
     iterates, on the grid 2^-b, b = wp + spread + 4, as (re, im) integer
     pairs.  Horner's rule for p, p' and the running-error sum
-    pt = sum |c_k| |z|^k (``_fixed_horner``), the Newton quotient, the
-    Aberth sum and the correction are integer operations; the iterates come
-    back as mpcs rounded to ``wp`` bits.
+    pt = sum |c_k| |z|^k (``_fixed_horner``), the Newton quotient
+    N = p/p' and the correction N/(1 - N S) are integer operations; the
+    iterates come back as mpcs rounded to ``wp`` bits.
 
     A root stays active while |corr| |p'| > 4 u pt, u = 2 deg 2^-wp, which is
     the floating-point Horner noise model at ``wp`` bits; the test is squared
@@ -298,6 +403,25 @@ def _aberth_phase(c, z, wp, spread, cap):
     max(1, |z|)^deg because both end coefficients lie within 2^spread of the
     largest.  The kernel's own error therefore stays below a quarter of u pt,
     and the stop test sees the noise floor of a wp-bit evaluation.
+
+    The Aberth sum S = sum_j 1/(z_i - z_j) is computed only as accurately as
+    the step needs: an error e in S moves the correction by about |N|^2 |e|,
+    against the stop test's floor tol = 8 deg pt 2^-wp / |p'|.  When the
+    degree is at least ``_FLOAT_SUM_MIN_DEGREE`` and the degree times b at
+    least ``_FLOAT_SUM_MIN_WORK``, a complex128 pass over float copies of
+    the iterates, refreshed as each root moves (``_float_sum``), gives
+    S_f = sum 1/d_j, A = sum |1/d_j| and max |1/d_j|.  S_f is taken when no
+    pair is close (|d_j| > 2^-40 |z_i|, every copy finite and normal) and
+    either |N| A >= 2^-45 (the global phase, where the float error is below
+    the step's own) or |N|^2 A 2^-50 <= tol/4 (the float error is below
+    the noise floor).  Otherwise the exact integer loop (``_pair_sum``) runs
+    on the coarser grid 2^-h, h = min(b, ceil(log2(|N|^2 B / tol)) + 24)
+    with B = sum |1/d_j|^2 bounded by A max |1/d_j|, and on the full grid
+    2^-b, as it does for every root below those gates, when a pair is close.
+    The log2 estimates come from ``bit_length`` and only pick a path: the fixed point is still p(z) = 0, and the certificates
+    alone decide what is reported, so a wrong choice can cost sweeps but
+    never a false certificate.  ``float_sums`` and ``integer_sums`` count
+    the root updates on each path.
 
     Updates are applied sequentially within a sweep (simultaneous updates can
     lock symmetric pairs into 2-cycles).  The iteration is single-threaded and
@@ -312,15 +436,20 @@ def _aberth_phase(c, z, wp, spread, cap):
     zi = [to_fixed(zk._mpc_[1], b) for zk in z]
     floor_shift = b - wp
     floor_scale = 8 * deg
+    # log2 tol = log2(8 deg) - wp + log2 pt - log2 |p'|, pt and p' on one grid
+    tol_base = math.log2(floor_scale) - wp
+    floats = deg >= _FLOAT_SUM_MIN_DEGREE and deg * b >= _FLOAT_SUM_MIN_WORK
+    if floats:
+        zf = [complex(_grid_float(r, one), _grid_float(i, one)) for r, i in zip(zr, zi)]
+        outside = sum(1 for x in zf if not _in_double_range(x))
+    float_sums = updates = 0
     active = list(range(deg))
     sweeps = 0
     while active and sweeps < cap:
         sweeps += 1
-        # 1/(z_i - z_j) = conj(u) 2^2b / |u|^2 on the grid takes one division,
-        # t = 2^(2b + extra) // |u|^2; extra >= bits of u keeps each term
-        # within two grid units.  u = 0 (j = i, or an iterate that coincides
-        # with z_i) adds nothing.
-        extra = max(abs(v).bit_length() for v in zr + zi) + 1
+        # every update but a nudge takes one sum
+        updates += len(active)
+        extra = max(map(int.bit_length, zr + zi)) + 1
         pair_num = 1 << (2 * b + extra)
         still = []
         for i in active:
@@ -332,39 +461,38 @@ def _aberth_phase(c, z, wp, spread, cap):
                 # nudge off the exact critical point of p': z (1 + 2^-20) + 2^-20
                 zr[i] = xr + (xr >> 20) + (one >> 20)
                 zi[i] = xi + (xi >> 20)
-                still.append(i)
-                continue
-            nr = ((vr * dr + vi * di) << b) // dd
-            ni = ((vi * dr - vr * di) << b) // dd
-            sr = si = 0
-            for yr, yi in zip(zr, zi):
-                ur = xr - yr
-                ui = xi - yi
-                uu = ur * ur + ui * ui
-                if uu:
-                    t = pair_num // uu
-                    sr += ur * t
-                    si -= ui * t
-            sr >>= extra
-            si >>= extra
-            er = one - ((nr * sr - ni * si) >> b)
-            ei = -((nr * si + ni * sr) >> b)
-            ee = er * er + ei * ei
-            if ee:
-                kr = ((nr * er + ni * ei) << b) // ee
-                ki = ((ni * er - nr * ei) << b) // ee
+                updates -= 1
             else:
-                kr, ki = nr, ni
-            zr[i] = xr - kr
-            zi[i] = xi - ki
-            if (kr * kr + ki * ki) * dd > ((floor_scale * pt) << floor_shift) ** 2:
+                nr = ((vr * dr + vi * di) << b) // dd
+                ni = ((vi * dr - vr * di) << b) // dd
+                if floats and not outside:
+                    sr, si, on_floats = _budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b,
+                                                    tol_base, extra, pair_num)
+                    float_sums += on_floats
+                else:
+                    sr, si = _pair_sum(xr, xi, zr, zi, pair_num, extra)
+                er = one - ((nr * sr - ni * si) >> b)
+                ei = -((nr * si + ni * sr) >> b)
+                ee = er * er + ei * ei
+                if ee:
+                    kr = ((nr * er + ni * ei) << b) // ee
+                    ki = ((ni * er - nr * ei) << b) // ee
+                else:
+                    kr, ki = nr, ni
+                zr[i] = xr - kr
+                zi[i] = xi - ki
+            if floats:
+                x = complex(_grid_float(zr[i], one), _grid_float(zi[i], one))
+                outside += _in_double_range(zf[i]) - _in_double_range(x)
+                zf[i] = x
+            if not dd or (kr * kr + ki * ki) * dd > ((floor_scale * pt) << floor_shift) ** 2:
                 still.append(i)
         active = still
     z = [
         mp.make_mpc((from_man_exp(r, -b, wp, round_nearest), from_man_exp(i, -b, wp, round_nearest)))
         for r, i in zip(zr, zi)
     ]
-    return z, sweeps, len(active)
+    return z, sweeps, len(active), float_sums, updates - float_sums
 
 
 def _magnitude(v):
@@ -520,8 +648,10 @@ def _solve_nonzero(c, precision_bits, seeds=None):
                 if phase == "seed":
                     z = (_newton_polygon_seeds(cw, degree) if seeds is None
                          else [to_big_complex(s, wp) for s in seeds])
-                z, sweeps, left = _aberth_phase(cw, z, wp, spread, cap=120 + 2 * degree)
-            record = {"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left}
+                z, sweeps, left, float_sums, integer_sums = _aberth_phase(
+                    cw, z, wp, spread, cap=120 + 2 * degree)
+            record = {"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left,
+                      "float_sums": float_sums, "integer_sums": integer_sums}
             if phase == "seed":
                 record["rule"] = "polygon" if seeds is None else "loop"
             trace.append(record)

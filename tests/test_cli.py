@@ -62,6 +62,16 @@ class TestPoly:
         err = capsys.readouterr().err
         assert "b_1" in err
 
+    @pytest.mark.parametrize("text", ["1/0", "0/1+1/0*i"])
+    def test_zero_denominator_exit_two(self, tmp_path, capsys, text):
+        spath = tmp_path / "zero.json"
+        doc = json.loads(serialize.schedule_to_json(K1))
+        doc["alphas"][1] = text
+        spath.write_text(json.dumps(doc))
+        code = run("poly", "--schedule", spath, "--n", 5, "--out", tmp_path / "o")
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_missing_schedule_exit_four(self, tmp_path):
         code = run("poly", "--schedule", tmp_path / "nope.json", "--n", 2,
                    "--out", tmp_path / "o")

@@ -81,6 +81,13 @@ def test_parse_forms():
         parse_complex_rational("1.5+2i")
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/1+1/0*i", "3/0*i", "-2/0-1/1*i"])
+def test_parse_zero_denominator(text):
+    # a zero denominator is invalid input, not an arithmetic fault
+    with pytest.raises(InvalidInputError, match="zero denominator"):
+        parse_complex_rational(text)
+
+
 def test_poly_helpers():
     p = [CR(1), CR(2), CR(1)]  # (1+z)^2
     q = [CR(1), CR(1)]

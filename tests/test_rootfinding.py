@@ -10,10 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+
+from hyperzeros import rootfinding
 from hyperzeros.errors import InvalidInputError, PoleError
 from hyperzeros.exact import ComplexRational, poly_from_roots
 from hyperzeros.hyppoly import HypPolynomial, ParameterSchedule, build_polynomial
 from hyperzeros.rootfinding import (
+    _fixed_coeffs,
+    _fixed_horner,
+    _newton_polygon_seeds,
     _certificates,
     _coeff_spread_bits,
     _cluster_radius,
@@ -281,6 +287,14 @@ class TestKernel:
         assert _trace_summary(trace) == expected
         assert trace[0]["rule"] == "polygon"
 
+    def test_find_roots_counts_sum_paths(self):
+        # K1 n = 40: the float pass serves every update of the lower rungs;
+        # the integer loop serves the 408-bit rung's last sweeps, where the
+        # float error would show above the noise floor
+        m = find_roots(build_polynomial(SCHED, 40), 512)
+        assert [(t["float_sums"], t["integer_sums"]) for t in m.trace if "sweeps" in t] == [
+            (57, 0), (300, 0), (67, 40), (80, 0)]
+
     def test_doubling_refines_from_refined_iterates(self):
         # alpha = 2 + i, n = 40 misses the forward bound at 128 bits; after
         # the doubling the ladder continues from the target rung's iterates,
@@ -371,6 +385,158 @@ class TestKernel:
                 assert min(abs(z - w) - tol * abs(w) for w in oracle) <= 0
             for w in oracle:
                 assert min(abs(z - w) for z in ours) <= tol * abs(w)
+
+
+def _reference_aberth_phase(c, z, wp, spread, cap):
+    """The Aberth sweeps with the exact pairwise sum on the full grid for
+    every root update, as the solver ran before the sum was sized to the
+    step's error budget; the returned counts put every sum on the integer
+    path."""
+    deg = len(c) - 1
+    b = wp + spread + 4
+    one = 1 << b
+    cr, ci, _ = _fixed_coeffs(c, b)
+    coeffs = [(r, i, math.isqrt(r * r + i * i)) for r, i in zip(cr[::-1], ci[::-1])]
+    zr = [to_fixed(zk._mpc_[0], b) for zk in z]
+    zi = [to_fixed(zk._mpc_[1], b) for zk in z]
+    floor_shift = b - wp
+    floor_scale = 8 * deg
+    active = list(range(deg))
+    sweeps = sums = 0
+    while active and sweeps < cap:
+        sweeps += 1
+        extra = max(abs(v).bit_length() for v in zr + zi) + 1
+        pair_num = 1 << (2 * b + extra)
+        still = []
+        for i in active:
+            xr = zr[i]
+            xi = zi[i]
+            vr, vi, dr, di, pt = _fixed_horner(coeffs, xr, xi, b)
+            dd = dr * dr + di * di
+            if not dd:
+                zr[i] = xr + (xr >> 20) + (one >> 20)
+                zi[i] = xi + (xi >> 20)
+                still.append(i)
+                continue
+            nr = ((vr * dr + vi * di) << b) // dd
+            ni = ((vi * dr - vr * di) << b) // dd
+            sr = si = 0
+            for yr, yi in zip(zr, zi):
+                ur = xr - yr
+                ui = xi - yi
+                uu = ur * ur + ui * ui
+                if uu:
+                    t = pair_num // uu
+                    sr += ur * t
+                    si -= ui * t
+            sr >>= extra
+            si >>= extra
+            sums += 1
+            er = one - ((nr * sr - ni * si) >> b)
+            ei = -((nr * si + ni * sr) >> b)
+            ee = er * er + ei * ei
+            if ee:
+                kr = ((nr * er + ni * ei) << b) // ee
+                ki = ((ni * er - nr * ei) << b) // ee
+            else:
+                kr, ki = nr, ni
+            zr[i] = xr - kr
+            zi[i] = xi - ki
+            if (kr * kr + ki * ki) * dd > ((floor_scale * pt) << floor_shift) ** 2:
+                still.append(i)
+        active = still
+    z = [
+        mp.make_mpc((from_man_exp(r, -b, wp, round_nearest), from_man_exp(i, -b, wp, round_nearest)))
+        for r, i in zip(zr, zi)
+    ]
+    return z, sweeps, len(active), 0, sums
+
+
+def _assert_matches_reference(coeffs, prec, seeds=None):
+    """Solve ``coeffs`` with the solver's sums and with the exact-sum
+    reference sweeps; every root lies within the sum of the two forward
+    bounds of its nearest reference root, and no two share that root.
+    Returns the solver's trace."""
+    roots, _, forwards, used, trace = solve_all_roots(coeffs, prec, seeds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rootfinding, "_aberth_phase", _reference_aberth_phase)
+        ref_roots, _, ref_forwards, ref_used, _ = solve_all_roots(coeffs, prec, seeds)
+    assert used == ref_used
+    with mp.workprec(max(used, 64)):
+        nearest = [min(range(len(ref_roots)), key=lambda j: abs(z - ref_roots[j])) for z in roots]
+        assert sorted(nearest) == list(range(len(ref_roots)))
+        for z, fz, j in zip(roots, forwards, nearest):
+            assert abs(z - ref_roots[j]) <= fz + ref_forwards[j]
+    return trace
+
+
+def _sum_counts(trace):
+    """(float_sums, integer_sums) over the trace's sweep records."""
+    sweeps = [t for t in trace if "sweeps" in t]
+    return sum(t["float_sums"] for t in sweeps), sum(t["integer_sums"] for t in sweeps)
+
+
+class TestSumBudget:
+    """The Aberth sum sized to the step's error budget keeps the exact-sum
+    solver's roots."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=9)
+        .filter(lambda c: c[-1] != (0, 0) and any(c[:-1])),
+        st.integers(-200, 200),
+    )
+    def test_matches_exact_sum(self, gauss, s):
+        # the strategy of test_matches_polyroots
+        _assert_matches_reference([CR(a, b) * _pow2(s) for a, b in gauss], 128)
+
+    @pytest.mark.parametrize("roots", [
+        [_pow2(40) + CR(k) for k in range(1, 9)],
+        [_pow2(60) + CR(k) for k in range(1, 9)],
+        [-CR(k) * _pow2(40) for k in range(1, 9)],
+        [-CR(k) * _pow2(-40) for k in range(1, 9)],
+    ], ids=["cluster-2^40", "cluster-2^60", "2^40", "2^-40"])
+    def test_far_inputs_match_exact_sum(self, roots):
+        trace = _assert_matches_reference(poly_from_roots(roots), 128)
+        assert sum(_sum_counts(trace)) > 0
+
+    @pytest.mark.parametrize("sched, n, prec", [(SCHED, 40, 512), (FIG5, 10, 2048)],
+                             ids=["K1-n40", "FIG5-n10"])
+    def test_ladder_solves_match_exact_sum(self, sched, n, prec):
+        p = build_polynomial(sched, n)
+        trace = _assert_matches_reference(p.coeffs, prec, _loop_seeds(p))
+        assert _sum_counts(trace)[0] > 0
+
+    @pytest.mark.parametrize("coeffs", [
+        [-_pow2(2200), CR(0), CR(1)],
+        [-_pow2(-2200), CR(0), CR(1)],
+        poly_from_roots([_pow2(1030)] + [-CR(k) for k in range(1, 8)]),
+        poly_from_roots([_pow2(-1030)] + [-CR(k) for k in range(1, 8)]),
+    ], ids=["2^1100", "2^-1100", "deg8-2^1030", "deg8-2^-1030"])
+    def test_beyond_double_range_sums_in_integers(self, coeffs):
+        # a root beyond double range has no float copy, so every sum takes
+        # the integer loop on the full grid
+        trace = _assert_matches_reference(coeffs, 64)
+        float_sums, integer_sums = _sum_counts(trace)
+        assert float_sums == 0 and integer_sums > 0
+
+
+class TestPolygonSeeds:
+    @pytest.mark.parametrize("s", [2200, -2200])
+    def test_radius_beyond_double_range(self, s):
+        # z^2 - 2^s: the seeds sit on the circle of radius 2^(s/2), and the
+        # solve certifies at 64 bits in a few sweeps without a doubling
+        coeffs = [-_pow2(s), CR(0), CR(1)]
+        with mp.workprec(64):
+            cw = [to_big_complex(c, 64) for c in coeffs]
+            seeds = _newton_polygon_seeds(cw, 2)
+            assert all(abs(mp.log(abs(z), 2) - s // 2) < 1e-9 for z in seeds)
+        roots, residuals, forwards, prec, trace = solve_all_roots(coeffs, 64)
+        assert prec == 64
+        assert not any(t["phase"] == "double-precision" for t in trace)
+        assert trace[0]["sweeps"] < 20
+        with mp.workprec(64):
+            assert [z / mp.mpf(2) ** (s // 2) for z in roots] == pytest.approx([-1, 1], abs=1e-15)
 
 
 def _exact(x):
