@@ -63,13 +63,13 @@ from .hyppoly import HypPolynomial
 DEFAULT_PRECISION = 512
 MAX_PRECISION = 4096
 
-# The complex128 pass over the Aberth sum pays for itself from this degree,
-# and once the degree times the grid's bits b reaches the second bound.  On
-# a 2-core Xeon under CPython 3.11 the integer loop costs about
-# deg (0.3 + b/400) us per root update, the float pass about 5 us plus
-# 0.25 us per pair.  Below either bound every sum takes the integer loop.
-_FLOAT_SUM_MIN_DEGREE = 8
-_FLOAT_SUM_MIN_WORK = 1280
+# A phase takes the complex128 pass over the Aberth sum once the degree
+# times the grid's bits b reaches this bound; below it every sum takes the
+# integer loop.  Whole phases on random degree-4 to 12 polynomials, float
+# pass on against off (2-core Xeon, CPython 3.11), break even near
+# deg b = 1600 and gain 3-6% at deg b = 2000 for every degree measured; at
+# deg b = 800 the pass costs 2-16%.
+_FLOAT_SUM_MIN_WORK = 1800
 _FLOAT_TINY = 2.0 ** -1022  # the smallest normal double
 _FLOAT_CLOSE = 2.0 ** 40  # |1/d_j| |z_i| at or above this: the pair is close
 
@@ -316,7 +316,8 @@ def _float_sum(zf, i):
     """(S, A, top) over the complex128 copies ``zf``: S = sum_j 1/d_j,
     A = sum_j |1/d_j| and top = max_j |1/d_j|, d_j = z_i - z_j over j != i;
     None when a pair is close, |d_j| <= 2^-40 |z_i|, or a value leaves
-    double range."""
+    double range.  Each |1/d_j| can be finite while A overflows; a finite A
+    keeps S finite, since rounding is monotone and |S| <= A term by term."""
     x = zf[i]
     try:
         rs = [1 / (x - y) for y in zf[:i]] + [1 / (x - y) for y in zf[i + 1:]]
@@ -325,7 +326,7 @@ def _float_sum(zf, i):
         return None
     top = max(ars)
     total = sum(ars)
-    if not (total >= _FLOAT_TINY and top * abs(x) < _FLOAT_CLOSE):
+    if not (_FLOAT_TINY <= total < math.inf and top * abs(x) < _FLOAT_CLOSE):
         return None
     return sum(rs), total, top
 
@@ -407,21 +408,21 @@ def _aberth_phase(c, z, wp, spread, cap):
     The Aberth sum S = sum_j 1/(z_i - z_j) is computed only as accurately as
     the step needs: an error e in S moves the correction by about |N|^2 |e|,
     against the stop test's floor tol = 8 deg pt 2^-wp / |p'|.  When the
-    degree is at least ``_FLOAT_SUM_MIN_DEGREE`` and the degree times b at
-    least ``_FLOAT_SUM_MIN_WORK``, a complex128 pass over float copies of
-    the iterates, refreshed as each root moves (``_float_sum``), gives
-    S_f = sum 1/d_j, A = sum |1/d_j| and max |1/d_j|.  S_f is taken when no
-    pair is close (|d_j| > 2^-40 |z_i|, every copy finite and normal) and
-    either |N| A >= 2^-45 (the global phase, where the float error is below
-    the step's own) or |N|^2 A 2^-50 <= tol/4 (the float error is below
-    the noise floor).  Otherwise the exact integer loop (``_pair_sum``) runs
-    on the coarser grid 2^-h, h = min(b, ceil(log2(|N|^2 B / tol)) + 24)
-    with B = sum |1/d_j|^2 bounded by A max |1/d_j|, and on the full grid
-    2^-b, as it does for every root below those gates, when a pair is close.
-    The log2 estimates come from ``bit_length`` and only pick a path: the fixed point is still p(z) = 0, and the certificates
-    alone decide what is reported, so a wrong choice can cost sweeps but
-    never a false certificate.  ``float_sums`` and ``integer_sums`` count
-    the root updates on each path.
+    degree times b is at least ``_FLOAT_SUM_MIN_WORK``, a complex128 pass
+    over float copies of the iterates, refreshed as each root moves
+    (``_float_sum``), gives S_f = sum 1/d_j, A = sum |1/d_j| and
+    max |1/d_j|.  S_f is taken when no pair is close (|d_j| > 2^-40 |z_i|,
+    every copy and A finite and normal) and either |N| A >= 2^-45 (the
+    global phase, where the float error is below the step's own) or
+    |N|^2 A 2^-50 <= tol/4 (the float error is below the noise floor).
+    Otherwise the exact integer loop (``_pair_sum``) runs on the coarser grid
+    2^-h, h = min(b, ceil(log2(|N|^2 B / tol)) + 24) with B = sum |1/d_j|^2
+    bounded by A max |1/d_j|, and on the full grid 2^-b when a pair is
+    close, as it does for every root of a phase below the gate.  The log2
+    estimates come from ``bit_length`` and only pick a path: the fixed point
+    is still p(z) = 0, and the certificates alone decide what is reported,
+    so a wrong choice can cost sweeps but never a false certificate.
+    ``float_sums`` and ``integer_sums`` count the root updates on each path.
 
     Updates are applied sequentially within a sweep (simultaneous updates can
     lock symmetric pairs into 2-cycles).  The iteration is single-threaded and
@@ -438,7 +439,7 @@ def _aberth_phase(c, z, wp, spread, cap):
     floor_scale = 8 * deg
     # log2 tol = log2(8 deg) - wp + log2 pt - log2 |p'|, pt and p' on one grid
     tol_base = math.log2(floor_scale) - wp
-    floats = deg >= _FLOAT_SUM_MIN_DEGREE and deg * b >= _FLOAT_SUM_MIN_WORK
+    floats = deg * b >= _FLOAT_SUM_MIN_WORK
     if floats:
         zf = [complex(_grid_float(r, one), _grid_float(i, one)) for r, i in zip(zr, zi)]
         outside = sum(1 for x in zf if not _in_double_range(x))

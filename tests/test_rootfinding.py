@@ -497,8 +497,59 @@ class TestSumBudget:
         [-CR(k) * _pow2(-40) for k in range(1, 9)],
     ], ids=["cluster-2^40", "cluster-2^60", "2^40", "2^-40"])
     def test_far_inputs_match_exact_sum(self, roots):
+        # each input takes both paths: floats in the global phase, and the
+        # integer loop for the last sweeps or where a cluster's pairs are close
         trace = _assert_matches_reference(poly_from_roots(roots), 128)
-        assert sum(_sum_counts(trace)) > 0
+        float_sums, integer_sums = _sum_counts(trace)
+        assert float_sums > 0 and integer_sums > 0
+
+    def test_float_sum_overflow_takes_integer_loop(self):
+        # five roots near 2^-1000, 2^-1023 apart: each |1/d_j| is a finite
+        # double, but near convergence A = sum |1/d_j| overflows, and those
+        # updates take the integer loop in place of an infinite S_f
+        roots = [_pow2(-1000) * (1 + CR(k) * _pow2(-23)) for k in range(5)]
+        found, _, forwards, used, trace = solve_all_roots(poly_from_roots(roots), 64)
+        assert used == 64
+        with mp.workprec(128):
+            exact = [to_big_complex(r, 128) for r in roots]
+            nearest = [min(range(5), key=lambda j: abs(z - exact[j])) for z in found]
+            assert sorted(nearest) == list(range(5))
+            for z, fz, j in zip(found, forwards, nearest):
+                assert abs(z - exact[j]) <= fz
+        float_sums, integer_sums = _sum_counts(trace)
+        assert float_sums > 0 and integer_sums > 0
+
+    def test_integer_sums_take_coarse_grid(self):
+        # K1 n = 40: every integer sum of the 408-bit rung runs on a grid
+        # coarser than 2^-b, and moves the step by less than 2^-16 of the
+        # stop test's floor against the full-grid sum
+        grids = []
+        pair_sum = rootfinding._pair_sum
+        budget_sum = rootfinding._budget_sum
+
+        def logged_pair_sum(xr, xi, zr, zi, pair_num, extra):
+            grids.append((pair_num.bit_length() - 1 - extra) // 2)
+            return pair_sum(xr, xi, zr, zi, pair_num, extra)
+
+        def checked_budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra, pair_num):
+            grids.clear()
+            sr, si, on_floats = budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra,
+                                           pair_num)
+            if not on_floats:
+                (h,) = grids
+                assert h < b
+                fr, fi = pair_sum(zr[i], zi[i], zr, zi, pair_num, extra)
+                err = max(abs(sr - fr), abs(si - fi), 1)
+                # log2 (|N|^2 |e|) against log2 tol, both from the grid values
+                moved = math.log2(nr * nr + ni * ni) + math.log2(err) - 3 * b
+                assert moved <= tol_base + math.log2(pt) - 0.5 * math.log2(dd) - 16
+            return sr, si, on_floats
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rootfinding, "_pair_sum", logged_pair_sum)
+            patch.setattr(rootfinding, "_budget_sum", checked_budget_sum)
+            m = find_roots(build_polynomial(SCHED, 40), 512)
+        assert _sum_counts(m.trace) == (504, 40)
 
     @pytest.mark.parametrize("sched, n, prec", [(SCHED, 40, 512), (FIG5, 10, 2048)],
                              ids=["K1-n40", "FIG5-n10"])
