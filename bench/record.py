@@ -11,7 +11,9 @@ default) once per workload, one after another, at seed 1 and the
 and result line to ``BENCH_<TAG>.json`` at the root of this checkout.  The
 file also records the measured commit, whether its sources differed from
 that commit, and a sha256 of the measured ``src`` tree, which names the
-tree even when it was not committed.  A speed claim compares two such files
+tree even when it was not committed.  A DIR that is not a git checkout,
+such as a ``git archive`` export, records both as null and hashes every
+file under its ``src``.  A speed claim compares two such files
 measured on the same machine; the run-to-run spread of a single file is not
 known, so one pair of files shows a trend, not a gain.
 """
@@ -42,10 +44,22 @@ def _git(checkout, *args):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def is_checkout(checkout):
+    """Whether ``checkout`` is the top of a git work tree."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    return top is not None and Path(top).resolve() == checkout
+
+
 def src_sha256(checkout):
-    """sha256 over the paths and bytes of the files git sees under ``src``."""
+    """sha256 over the paths and bytes of the files under ``src``: those git
+    sees in a git checkout, else every file outside ``__pycache__``."""
+    if is_checkout(checkout):
+        names = _git(checkout, "ls-files", "-co", "--exclude-standard", "src").split()
+    else:
+        names = [f.relative_to(checkout).as_posix() for f in (checkout / "src").rglob("*")
+                 if f.is_file() and "__pycache__" not in f.parts]
     h = hashlib.sha256()
-    for name in sorted(_git(checkout, "ls-files", "-co", "--exclude-standard", "src").split()):
+    for name in sorted(names):
         h.update(name.encode() + b"\0" + (checkout / name).read_bytes() + b"\0")
     return h.hexdigest()
 
@@ -64,10 +78,12 @@ def run_workload(checkout, workload):
 def main(argv=None):
     args = parse_args(argv)
     checkout = args.checkout.resolve()
+    git = is_checkout(checkout)
     record = {
         "tag": args.tag,
-        "commit": _git(checkout, "rev-parse", "HEAD"),
-        "sources_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
+        "commit": _git(checkout, "rev-parse", "HEAD") if git else None,
+        "sources_modified": (bool(_git(checkout, "status", "--porcelain", "--", "src"))
+                             if git else None),
         "src_sha256": src_sha256(checkout),
         "seed": SEED,
         "seconds": SECONDS,

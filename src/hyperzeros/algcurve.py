@@ -80,10 +80,6 @@ class BivariateCurve:
     def degree_w(self) -> int:
         return len(self.alphas)
 
-    def w_polynomial_coeffs(self, z):
-        """Exact coefficients (in w) of A(z, .) for an exact z."""
-        return w_coefficients(self.m_coeffs, self.n_coeffs, z)
-
     def evaluate(self, z, w):
         """A(z, w) for exact arguments."""
         total = ZERO

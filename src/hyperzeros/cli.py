@@ -262,6 +262,10 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
 
     if "distance" in wanted:
         eta = float(sched.alphas[1].re)
+        if eta == -1:
+            raise InvalidInputError(
+                "distance: the loop-side cutoff Re z > eta/(eta + 1) is undefined "
+                "at eta = Re alpha_2 = -1")
         cutoff = eta / (eta + 1)
         rows = {}
         rows_unrestricted = {}

@@ -175,14 +175,15 @@ def parse_complex_rational(text: str) -> ComplexRational:
     raise InvalidInputError(f"cannot parse complex rational {text!r}")
 
 
-def _frac_str(f: Fraction) -> str:
+def format_fraction(f: Fraction) -> str:
+    """``num/den`` with the denominator written even when it is 1."""
     return f"{f.numerator}/{f.denominator}"
 
 
 def format_complex_rational(x: ComplexRational) -> str:
     """Canonical exchange form with explicit positive denominators."""
     sign = "+" if x.im >= 0 else "-"
-    return f"{_frac_str(x.re)}{sign}{_frac_str(abs(x.im))}*i"
+    return f"{format_fraction(x.re)}{sign}{format_fraction(abs(x.im))}*i"
 
 
 # -- exact univariate polynomials -------------------------------------------

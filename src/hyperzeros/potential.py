@@ -566,6 +566,8 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     The curve is closed when a march closes or both marches end at the same
     saddle, and ``hit_cut`` when either march reached the cut.  Every
     emitted point has implicit residual below ``TRACE_RESIDUAL_TOL``.
+    InvalidInputError rejects a pair outside 1..A or with i = j, and a step
+    that is not positive and finite.
 
     In integral mode the curve traced is the level set of H_i - H_j through
     the seed (offsets are a closed-form construct).
@@ -573,6 +575,11 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     i, j = pair
     if i == j:
         raise InvalidInputError("level curve needs two distinct branch indices")
+    if not (1 <= i <= sys.num_branches and 1 <= j <= sys.num_branches):
+        raise InvalidInputError(
+            f"branch indices {tuple(pair)} out of range 1..{sys.num_branches}")
+    if not 0 < step < math.inf:
+        raise InvalidInputError(f"trace step must be positive and finite, got {step}")
     if sys.mode == "closed":
         fun = _ClosedLevelFunction(sys, pair)
     else:

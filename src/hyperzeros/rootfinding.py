@@ -18,16 +18,18 @@ coefficients, and stop at the noise floor of a floating-point evaluation
 at the rung's precision.  Only the pairwise Aberth sum is sized to the
 step's error budget: an error e in it moves the step by about |N|^2 e,
 N = p/p', so most root updates of a high-degree solve take it in complex128
-from float copies of the iterates, and the rest take the exact integer sum
+from float copies of the iterates, and the rest take one exact integer loop
 on a grid just fine enough for the step (the mixed float/multiprecision
-Aberth of MPSolve, ibid.).  Every root is then certified a posteriori at the
-target rung by a running-error Horner bound, in the same fixed-point
-arithmetic: the sweeps and the certificates share one Horner loop, the
-certificates add its rounding error as an explicit term, and they carry
-the term magnitudes as floats with integer exponents, rounded outward.  A
-fault in the sweeps can therefore cost iterations or a precision doubling
-but never a false certificate.  If certification fails the target doubles
-and the ladder continues, up to a hard cap.
+Aberth of MPSolve, ibid.); an iterate outside double range has a NaN copy,
+which sends every sum that reads it to that loop on the full grid.  Every
+root is then certified a posteriori at the target rung by a running-error
+Horner bound, in the same fixed-point arithmetic: the sweeps and the
+certificates share one Horner loop, the certificates add its rounding error
+as an explicit term, and they carry the term magnitudes as floats with
+integer exponents, rounded outward.  A fault in the sweeps can therefore
+cost iterations or a precision doubling but never a false certificate.  If
+certification fails the target doubles and the ladder continues, up to a
+hard cap.
 
 The solver has one entry, ``solve_all_roots``, which takes a plain
 coefficient list (exact ComplexRationals or already-rounded mpcs) and
@@ -299,25 +301,25 @@ def _fixed_horner(coeffs, xr, xi, b):
     return vr, vi, dr, di, pt
 
 
-def _grid_float(x, one):
-    """x / one as a float, infinite where it overflows."""
+def _float_copy(r, i, one):
+    """The complex128 copy of the grid point (r + i i) / one, or NaN, which
+    ``_float_sum`` rejects, when its modulus is not finite and normal."""
     try:
-        return x / one
+        x = complex(r / one, i / one)
+        if _FLOAT_TINY <= math.hypot(x.real, x.imag) < math.inf:
+            return x
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _in_double_range(x):
-    """A complex128 copy can stand for its iterate: |x| finite and normal."""
-    return _FLOAT_TINY <= math.hypot(x.real, x.imag) < math.inf
+        pass
+    return complex(math.nan, math.nan)
 
 
 def _float_sum(zf, i):
     """(S, A, top) over the complex128 copies ``zf``: S = sum_j 1/d_j,
     A = sum_j |1/d_j| and top = max_j |1/d_j|, d_j = z_i - z_j over j != i;
-    None when a pair is close, |d_j| <= 2^-40 |z_i|, or a value leaves
-    double range.  Each |1/d_j| can be finite while A overflows; a finite A
-    keeps S finite, since rounding is monotone and |S| <= A term by term."""
+    None when a pair is close, |d_j| <= 2^-40 |z_i|, or A is not finite and
+    normal, which a NaN copy (``_float_copy``) always makes it.  Each
+    |1/d_j| can be finite while A overflows; a finite A keeps S finite,
+    since rounding is monotone and |S| <= A term by term."""
     x = zf[i]
     try:
         rs = [1 / (x - y) for y in zf[:i]] + [1 / (x - y) for y in zf[i + 1:]]
@@ -340,48 +342,51 @@ def _float_to_grid(x, b):
     return k << e if e >= 0 else k >> -e
 
 
-def _pair_sum(xr, xi, zr, zi, pair_num, extra):
-    """sum_j 1/(x - z_j) on a grid 2^-h, x and the z_j as integer pairs.
+def _pair_sum(xr, xi, zr, zi, b, sh, extra):
+    """sum_j 1/(x - z_j) on the grid 2^-b, x and the z_j as integer pairs on
+    it, by the exact loop on the grid 2^-h, h = b - sh (sh = 0: the full grid).
 
-    1/u = conj(u) 2^2h / |u|^2 on the grid takes one division,
-    t = pair_num // |u|^2 with pair_num = 2^(2h + extra); extra >= bits of
-    u keeps each term within two grid units.  u = 0 (z_j = x) adds nothing.
+    1/u = conj(u) 2^2h / |u|^2 takes one division, t = 2^(2h + ex) // |u|^2,
+    ex = max(extra - sh, 0); extra >= bits of the operands keeps each term
+    within two units of 2^-h.  u = 0 (z_j = x) adds nothing.
     """
+    ex = extra
+    if sh:
+        ex = max(extra - sh, 0)
+        xr >>= sh
+        xi >>= sh
+        zr = [y >> sh for y in zr]
+        zi = [y >> sh for y in zi]
+    num = 1 << (2 * (b - sh) + ex)
     sr = si = 0
     for yr, yi in zip(zr, zi):
         ur = xr - yr
         ui = xi - yi
         uu = ur * ur + ui * ui
         if uu:
-            t = pair_num // uu
+            t = num // uu
             sr += ur * t
             si -= ui * t
-    return sr >> extra, si >> extra
+    return (sr >> ex) << sh, (si >> ex) << sh
 
 
-def _budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra, pair_num):
+def _aberth_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra):
     """(sr, si, on_floats): the Aberth sum of root i on the grid 2^-b, as
-    accurate as the step needs (see ``_aberth_phase``)."""
-    xr = zr[i]
-    xi = zi[i]
-    sums = _float_sum(zf, i)
-    if sums is None:
-        return *_pair_sum(xr, xi, zr, zi, pair_num, extra), False
-    s, total, top = sums
-    nn = nr * nr + ni * ni
-    log_n = 0.5 * nn.bit_length() - b
-    log_tol = tol_base + pt.bit_length() - 0.5 * dd.bit_length()
-    log_a = math.log2(total)
-    if not nn or log_n + log_a >= -45 or 2 * log_n + log_a - 48 <= log_tol:
-        return _float_to_grid(s.real, b), _float_to_grid(s.imag, b), True
-    h = math.ceil(2 * log_n + math.log2(top) + log_a - log_tol) + 24
-    sh = b - min(b, max(h, 1))
-    if not sh:
-        return *_pair_sum(xr, xi, zr, zi, pair_num, extra), False
-    ex = max(extra - sh, 0)
-    sr, si = _pair_sum(xr >> sh, xi >> sh, [y >> sh for y in zr], [y >> sh for y in zi],
-                       1 << (2 * (b - sh) + ex), ex)
-    return sr << sh, si << sh, False
+    accurate as the step needs (see ``_aberth_phase``); ``zf`` is None
+    below the float pass's gate."""
+    sh = 0
+    sums = None if zf is None else _float_sum(zf, i)
+    if sums is not None:
+        s, total, top = sums
+        nn = nr * nr + ni * ni
+        log_n = 0.5 * nn.bit_length() - b
+        log_tol = tol_base + pt.bit_length() - 0.5 * dd.bit_length()
+        log_a = math.log2(total)
+        if not nn or log_n + log_a >= -45 or 2 * log_n + log_a - 48 <= log_tol:
+            return _float_to_grid(s.real, b), _float_to_grid(s.imag, b), True
+        h = math.ceil(2 * log_n + math.log2(top) + log_a - log_tol) + 24
+        sh = b - min(b, max(h, 1))
+    return *_pair_sum(zr[i], zi[i], zr, zi, b, sh, extra), False
 
 
 def _aberth_phase(c, z, wp, spread, cap):
@@ -407,22 +412,24 @@ def _aberth_phase(c, z, wp, spread, cap):
 
     The Aberth sum S = sum_j 1/(z_i - z_j) is computed only as accurately as
     the step needs: an error e in S moves the correction by about |N|^2 |e|,
-    against the stop test's floor tol = 8 deg pt 2^-wp / |p'|.  When the
-    degree times b is at least ``_FLOAT_SUM_MIN_WORK``, a complex128 pass
-    over float copies of the iterates, refreshed as each root moves
-    (``_float_sum``), gives S_f = sum 1/d_j, A = sum |1/d_j| and
-    max |1/d_j|.  S_f is taken when no pair is close (|d_j| > 2^-40 |z_i|,
-    every copy and A finite and normal) and either |N| A >= 2^-45 (the
-    global phase, where the float error is below the step's own) or
-    |N|^2 A 2^-50 <= tol/4 (the float error is below the noise floor).
-    Otherwise the exact integer loop (``_pair_sum``) runs on the coarser grid
-    2^-h, h = min(b, ceil(log2(|N|^2 B / tol)) + 24) with B = sum |1/d_j|^2
-    bounded by A max |1/d_j|, and on the full grid 2^-b when a pair is
-    close, as it does for every root of a phase below the gate.  The log2
-    estimates come from ``bit_length`` and only pick a path: the fixed point
-    is still p(z) = 0, and the certificates alone decide what is reported,
-    so a wrong choice can cost sweeps but never a false certificate.
-    ``float_sums`` and ``integer_sums`` count the root updates on each path.
+    against the stop test's floor tol = 8 deg pt 2^-wp / |p'|, and each
+    update picks its sum once (``_aberth_sum``).  When the degree times b is
+    at least ``_FLOAT_SUM_MIN_WORK``, a complex128 pass over float copies of
+    the iterates, refreshed as each root moves (``_float_sum``), gives
+    S_f = sum 1/d_j, A = sum |1/d_j| and max |1/d_j|; a copy whose modulus
+    is not finite and normal is NaN (``_float_copy``), and so is A then.
+    S_f is taken when no pair is close (|d_j| > 2^-40 |z_i|, A finite and
+    normal) and either |N| A >= 2^-45 (the global phase, where the float
+    error is below the step's own) or |N|^2 A 2^-50 <= tol/4 (the float
+    error is below the noise floor).  Otherwise the exact integer loop
+    (``_pair_sum``) runs on the grid 2^-h, h = min(b, ceil(log2(|N|^2 B /
+    tol)) + 24), B = sum |1/d_j|^2 bounded by A max |1/d_j|, or on the full
+    grid 2^-b when the float pass rejects the sum or the phase is below the
+    gate.  The log2 estimates come from ``bit_length`` and only pick a
+    path: the fixed point is still p(z) = 0, and the certificates alone
+    decide what is reported, so a wrong choice can cost sweeps but never a
+    false certificate.  ``float_sums`` and ``integer_sums`` count the root
+    updates on each path.
 
     Updates are applied sequentially within a sweep (simultaneous updates can
     lock symmetric pairs into 2-cycles).  The iteration is single-threaded and
@@ -439,10 +446,8 @@ def _aberth_phase(c, z, wp, spread, cap):
     floor_scale = 8 * deg
     # log2 tol = log2(8 deg) - wp + log2 pt - log2 |p'|, pt and p' on one grid
     tol_base = math.log2(floor_scale) - wp
-    floats = deg * b >= _FLOAT_SUM_MIN_WORK
-    if floats:
-        zf = [complex(_grid_float(r, one), _grid_float(i, one)) for r, i in zip(zr, zi)]
-        outside = sum(1 for x in zf if not _in_double_range(x))
+    zf = ([_float_copy(r, i, one) for r, i in zip(zr, zi)]
+          if deg * b >= _FLOAT_SUM_MIN_WORK else None)
     float_sums = updates = 0
     active = list(range(deg))
     sweeps = 0
@@ -451,7 +456,6 @@ def _aberth_phase(c, z, wp, spread, cap):
         # every update but a nudge takes one sum
         updates += len(active)
         extra = max(map(int.bit_length, zr + zi)) + 1
-        pair_num = 1 << (2 * b + extra)
         still = []
         for i in active:
             xr = zr[i]
@@ -466,12 +470,9 @@ def _aberth_phase(c, z, wp, spread, cap):
             else:
                 nr = ((vr * dr + vi * di) << b) // dd
                 ni = ((vi * dr - vr * di) << b) // dd
-                if floats and not outside:
-                    sr, si, on_floats = _budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b,
-                                                    tol_base, extra, pair_num)
-                    float_sums += on_floats
-                else:
-                    sr, si = _pair_sum(xr, xi, zr, zi, pair_num, extra)
+                sr, si, on_floats = _aberth_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base,
+                                                extra)
+                float_sums += on_floats
                 er = one - ((nr * sr - ni * si) >> b)
                 ei = -((nr * si + ni * sr) >> b)
                 ee = er * er + ei * ei
@@ -482,10 +483,8 @@ def _aberth_phase(c, z, wp, spread, cap):
                     kr, ki = nr, ni
                 zr[i] = xr - kr
                 zi[i] = xi - ki
-            if floats:
-                x = complex(_grid_float(zr[i], one), _grid_float(zi[i], one))
-                outside += _in_double_range(zf[i]) - _in_double_range(x)
-                zf[i] = x
+            if zf is not None:
+                zf[i] = _float_copy(zr[i], zi[i], one)
             if not dd or (kr * kr + ki * ki) * dd > ((floor_scale * pt) << floor_shift) ** 2:
                 still.append(i)
         active = still

@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING
 import mpmath as mp
 
 from .errors import InvalidInputError
-from .exact import ComplexRational, format_complex_rational, parse_complex_rational
+from .exact import (
+    ComplexRational,
+    format_complex_rational,
+    format_fraction,
+    parse_complex_rational,
+)
 from .hyppoly import HypPolynomial, ParameterSchedule
 from .rootfinding import RootCountingMeasure
 
@@ -111,10 +116,6 @@ def schedule_hash(schedule: ParameterSchedule) -> str:
 # -- polynomials --------------------------------------------------------------
 
 
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def write_polynomial(path, p: HypPolynomial) -> None:
     """One row per coefficient: ``k re_num/re_den im_num/im_den``, exact."""
     lines = [
@@ -122,7 +123,7 @@ def write_polynomial(path, p: HypPolynomial) -> None:
         f"# n = {p.n} degree = {p.degree} schedule = {schedule_hash(p.schedule)}",
     ]
     for k, c in enumerate(p.coeffs):
-        lines.append(f"{k} {_frac(c.re)} {_frac(c.im)}")
+        lines.append(f"{k} {format_fraction(c.re)} {format_fraction(c.im)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -205,7 +206,7 @@ def write_curve(path, curve) -> None:
     """Exact (j, k, a_jk) triples of the expanded bivariate polynomial."""
     lines = ["# curve export: j k re im (coefficient of z^j w^k, exact)"]
     for (j, k), a in sorted(curve.terms.items()):
-        lines.append(f"{j} {k} {_frac(a.re)} {_frac(a.im)}")
+        lines.append(f"{j} {k} {format_fraction(a.re)} {format_fraction(a.im)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

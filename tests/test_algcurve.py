@@ -12,6 +12,7 @@ from hyperzeros.algcurve import (
     discriminant_z,
     rational_branches,
     verify_rational_branches,
+    w_coefficients,
 )
 from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import (
@@ -160,7 +161,7 @@ class TestBuildCurve:
             curve = build_curve(sched)
             B = sched.B
             z = CR(F(5, 3), F(1, 7))
-            coeffs = curve.w_polynomial_coeffs(z)
+            coeffs = w_coefficients(curve.m_coeffs, curve.n_coeffs, z)
             assert coeffs[-1] == (z ** B) * (z - 1)
 
     def test_zero_slope_rejected(self):

@@ -132,6 +132,33 @@ class TestRootsAndVerify:
                    "--out", tmp_path / "o")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--pair", "1,5", "--seed", "1.5,0"),
+        ("--pair", "0,2", "--seed", "1.5,0"),
+        ("--pair", "1,2", "--seed", "1.2071067811865475,0", "--step", 0),
+        ("--pair", "1,2", "--seed", "1.2071067811865475,0", "--step", -1),
+    ], ids=["index-5", "index-0", "step-0", "step-negative"])
+    def test_levels_bad_pair_or_step_exit_two(self, sched_file, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert run("levels", "--schedule", sched_file, *args, "--out", out) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert not list(out.glob("level_*.csv"))
+
+    def test_verify_distance_at_eta_minus_one_exit_two(self, tmp_path, capsys):
+        # Re alpha_2 = -1 leaves the cutoff eta/(eta + 1) undefined
+        spath = tmp_path / "s.json"
+        serialize.write_schedule(spath, ParameterSchedule.loop_2f1(CR(-1, 1)))
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", spath, "--n-list", "4,8", "--precision", 128,
+                   "--out", out) == 0
+        assert run("levels", "--schedule", spath, "--step", 0.01, "--out", out) == 0
+        capsys.readouterr()
+        code = run("verify", "--schedule", spath, "--n-list", "4,8", "--experiments", "distance",
+                   "--out", out)
+        assert code == 2
+        assert "Re alpha_2 = -1" in capsys.readouterr().err
+        assert not (out / "report_distance.json").exists()
+
     @pytest.mark.parametrize("point", ["2,x", "2", "2,0,1"])
     def test_verify_malformed_test_point_exit_two(self, sched_file, tmp_path, point):
         code = run("verify", "--schedule", sched_file, "--n-list", "4,8",

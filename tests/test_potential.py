@@ -223,6 +223,17 @@ class TestTrace:
         with pytest.raises(InvalidInputError):
             trace_level_curve(sys_k1, (1, 2), 50.0 + 50.0j)
 
+    @pytest.mark.parametrize("pair", [(1, 5), (0, 2), (2, -1), (3, 1)])
+    def test_pair_out_of_range_rejected(self, sys_k1, pair):
+        # K1 has A = 2 branches; index 0 would wrap to the last branch
+        with pytest.raises(InvalidInputError, match="out of range"):
+            trace_level_curve(sys_k1, pair, 1.5)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_step_rejected(self, sys_k1, step):
+        with pytest.raises(InvalidInputError, match="step"):
+            trace_level_curve(sys_k1, (1, 2), 1.2071067811865475, step=step)
+
 
 class TestIntegralModeTrace:
     def test_matches_closed_form_level_set(self, sys_k1):

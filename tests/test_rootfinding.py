@@ -387,6 +387,21 @@ class TestKernel:
                 assert min(abs(z - w) for z in ours) <= tol * abs(w)
 
 
+def _reference_pair_sum(xr, xi, zr, zi, b, extra):
+    """The exact pairwise sum sum_j 1/(x - z_j) on the full grid 2^-b."""
+    pair_num = 1 << (2 * b + extra)
+    sr = si = 0
+    for yr, yi in zip(zr, zi):
+        ur = xr - yr
+        ui = xi - yi
+        uu = ur * ur + ui * ui
+        if uu:
+            t = pair_num // uu
+            sr += ur * t
+            si -= ui * t
+    return sr >> extra, si >> extra
+
+
 def _reference_aberth_phase(c, z, wp, spread, cap):
     """The Aberth sweeps with the exact pairwise sum on the full grid for
     every root update, as the solver ran before the sum was sized to the
@@ -406,7 +421,6 @@ def _reference_aberth_phase(c, z, wp, spread, cap):
     while active and sweeps < cap:
         sweeps += 1
         extra = max(abs(v).bit_length() for v in zr + zi) + 1
-        pair_num = 1 << (2 * b + extra)
         still = []
         for i in active:
             xr = zr[i]
@@ -420,17 +434,7 @@ def _reference_aberth_phase(c, z, wp, spread, cap):
                 continue
             nr = ((vr * dr + vi * di) << b) // dd
             ni = ((vi * dr - vr * di) << b) // dd
-            sr = si = 0
-            for yr, yi in zip(zr, zi):
-                ur = xr - yr
-                ui = xi - yi
-                uu = ur * ur + ui * ui
-                if uu:
-                    t = pair_num // uu
-                    sr += ur * t
-                    si -= ui * t
-            sr >>= extra
-            si >>= extra
+            sr, si = _reference_pair_sum(xr, xi, zr, zi, b, extra)
             sums += 1
             er = one - ((nr * sr - ni * si) >> b)
             ei = -((nr * si + ni * sr) >> b)
@@ -474,6 +478,56 @@ def _sum_counts(trace):
     """(float_sums, integer_sums) over the trace's sweep records."""
     sweeps = [t for t in trace if "sweeps" in t]
     return sum(t["float_sums"] for t in sweeps), sum(t["integer_sums"] for t in sweeps)
+
+
+class TestAberthSum:
+    """The float copies and the one integer loop behind every Aberth sum."""
+
+    @pytest.mark.parametrize("r, i", [
+        (1 << 2100, 0),  # the quotient itself overflows
+        (-(3 << 2072), 3 << 2072),  # both parts finite, the modulus overflows
+        (1, -1),  # subnormal
+        (0, 0),
+    ], ids=["overflow", "modulus-overflow", "subnormal", "zero"])
+    def test_float_copy_is_nan_outside_double_range(self, r, i):
+        x = rootfinding._float_copy(r, i, 1 << 1050)
+        assert math.isnan(x.real) and math.isnan(x.imag)
+        # the NaN copy rejects every float sum that reads it, its own included
+        zf = [1 + 1j, x, 2 - 1j]
+        assert all(rootfinding._float_sum(zf, k) is None for k in range(3))
+
+    @pytest.mark.parametrize("r, i, b", [
+        (3, -5, 2),
+        (1, 0, 1022),  # the smallest normal modulus
+        (-(1 << 1000), 1 << 1001, 0),
+        ((1 << 200) + 1, 7, 300),
+    ], ids=["small", "smallest-normal", "large", "fine-grid"])
+    def test_float_copy_is_the_rounded_grid_point(self, r, i, b):
+        one = 1 << b
+        assert rootfinding._float_copy(r, i, one) == complex(r / one, i / one)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(8, 600), st.integers(1, 12), st.data())
+    def test_pair_sum_matches_reference(self, b, deg, data):
+        # random points of the grid 2^-b within |re|, |im| <= 2^(e - b), x
+        # among them (u = 0); sh = 0 is the reference's full-grid loop, and
+        # sh > 0 is that loop on the operands shifted onto the grid 2^-(b - sh),
+        # with no guard bits left once sh >= extra
+        e = data.draw(st.integers(1, b + 8))
+        sh = data.draw(st.integers(1, b - 1))
+        coord = st.integers(-(1 << e), 1 << e)
+        zr = data.draw(st.lists(coord, min_size=deg, max_size=deg))
+        zi = data.draw(st.lists(coord, min_size=deg, max_size=deg))
+        i = data.draw(st.integers(0, deg - 1))
+        xr, xi = zr[i], zi[i]
+        extra = max(abs(v).bit_length() for v in zr + zi) + 1
+        pair_sum = rootfinding._pair_sum
+        full = _reference_pair_sum(xr, xi, zr, zi, b, extra)
+        assert pair_sum(xr, xi, zr, zi, b, 0, extra) == full
+        ex = max(extra - sh, 0)
+        sr, si = _reference_pair_sum(xr >> sh, xi >> sh, [y >> sh for y in zr],
+                                     [y >> sh for y in zi], b - sh, ex)
+        assert pair_sum(xr, xi, zr, zi, b, sh, extra) == (sr << sh, si << sh)
 
 
 class TestSumBudget:
@@ -525,20 +579,19 @@ class TestSumBudget:
         # stop test's floor against the full-grid sum
         grids = []
         pair_sum = rootfinding._pair_sum
-        budget_sum = rootfinding._budget_sum
+        aberth_sum = rootfinding._aberth_sum
 
-        def logged_pair_sum(xr, xi, zr, zi, pair_num, extra):
-            grids.append((pair_num.bit_length() - 1 - extra) // 2)
-            return pair_sum(xr, xi, zr, zi, pair_num, extra)
+        def logged_pair_sum(xr, xi, zr, zi, b, sh, extra):
+            grids.append(b - sh)
+            return pair_sum(xr, xi, zr, zi, b, sh, extra)
 
-        def checked_budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra, pair_num):
+        def checked_aberth_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra):
             grids.clear()
-            sr, si, on_floats = budget_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra,
-                                           pair_num)
+            sr, si, on_floats = aberth_sum(zr, zi, zf, i, nr, ni, dd, pt, b, tol_base, extra)
             if not on_floats:
                 (h,) = grids
                 assert h < b
-                fr, fi = pair_sum(zr[i], zi[i], zr, zi, pair_num, extra)
+                fr, fi = pair_sum(zr[i], zi[i], zr, zi, b, 0, extra)
                 err = max(abs(sr - fr), abs(si - fi), 1)
                 # log2 (|N|^2 |e|) against log2 tol, both from the grid values
                 moved = math.log2(nr * nr + ni * ni) + math.log2(err) - 3 * b
@@ -547,7 +600,7 @@ class TestSumBudget:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rootfinding, "_pair_sum", logged_pair_sum)
-            patch.setattr(rootfinding, "_budget_sum", checked_budget_sum)
+            patch.setattr(rootfinding, "_aberth_sum", checked_aberth_sum)
             m = find_roots(build_polynomial(SCHED, 40), 512)
         assert _sum_counts(m.trace) == (504, 40)
 
