@@ -122,20 +122,6 @@ def build_curve(schedule: ParameterSchedule) -> BivariateCurve:
     )
 
 
-def rational_branches(schedule: ParameterSchedule):
-    """The closed-form branches of the degenerate case as callables.
-
-    branch 1: w = 1/(z-1); branch i >= 2: w = -alpha_i/z.
-    """
-    if not schedule.is_degenerate:
-        raise InvalidInputError("rational branches exist only for degenerate schedules")
-    funcs = [lambda z: 1 / (z - 1)]
-    for al in schedule.alphas[1:]:
-        a = complex(al)
-        funcs.append(lambda z, a=a: -a / z)
-    return funcs
-
-
 def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
     """The A roots in w of A(z, .), sorted lexicographically by (re, im).
 

@@ -20,6 +20,7 @@ The commands import the array modules (numpy, ``potential``,
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,12 +49,28 @@ def _parse_fields(value, sep, count, kind):
     return fields
 
 
+def _parse_box(ctx, param, value):
+    """The ``--box`` value as (xmin, xmax, ymin, ymax): finite, xmin < xmax
+    and ymin < ymax."""
+    box = _parse_fields(value, ":", 4, float)
+    if not (all(map(math.isfinite, box)) and box[0] < box[1] and box[2] < box[3]):
+        raise InvalidInputError(f"box {value!r} must be finite with xmin < xmax and ymin < ymax")
+    return box
+
+
+def _existing(path, what, writer=None):
+    """``path`` as a Path, or FileNotFoundError (exit 4) naming its writer."""
+    path = Path(path)
+    if not path.exists():
+        hint = f"; run the {writer} command first" if writer else ""
+        raise FileNotFoundError(f"{what} {path} not found{hint}")
+    return path
+
+
 def _resolve_schedule(path):
     if not path:
         raise InvalidInputError("no schedule file given (flag --schedule or config)")
-    if not Path(path).exists():
-        raise FileNotFoundError(f"schedule file {path} not found")
-    return Path(path), serialize.read_schedule(path)
+    return Path(path), serialize.read_schedule(_existing(path, "schedule file"))
 
 
 def _outdir(out):
@@ -67,7 +84,7 @@ _out_option = click.option("--out", type=click.Path(), default="out")
 _data_option = click.option("--data", type=click.Path(), default=None,
                             help="directory with emitted data files (default: --out)")
 _box_option = click.option("--box", type=click.UNPROCESSED, default="-1:2:-1.5:1.5",
-                           help="xmin:xmax:ymin:ymax")
+                           callback=_parse_box, help="xmin:xmax:ymin:ymax")
 _NLIST_DEFAULT = "10,25,50,100"
 _EXPERIMENTS = ("distance", "convergence", "kscore")
 
@@ -79,10 +96,8 @@ def cli(ctx, config):
     """Hypergeometric polynomial zeros, limit curves, and clustering experiments."""
     if config is None:
         return
-    if not Path(config).exists():
-        raise FileNotFoundError(f"config file {config} not found")
     try:
-        values = json.loads(Path(config).read_text())
+        values = json.loads(_existing(config, "config file").read_text())
     except ValueError as exc:
         raise InvalidInputError(f"config file {config} is not JSON: {exc}") from None
     if not isinstance(values, dict):
@@ -196,7 +211,6 @@ def cmd_regions(schedule, box, resolution, out):
     from .potential import classify_regions, make_harmonic_system
 
     spath, sched = _resolve_schedule(schedule)
-    box = _parse_fields(box, ":", 4, float)
     outdir = _outdir(out)
     sys_ = make_harmonic_system(sched)
     grid = classify_regions(sys_, box, resolution)
@@ -206,16 +220,6 @@ def cmd_regions(schedule, box, resolution, out):
                              {"box": list(box), "resolution": resolution, "schedule": str(spath)},
                              {"schedule": spath})
     click.echo(f"labels {grid.labels_present()}, {int(grid.kmask.sum())} K cells")
-
-
-def _load_measures(outdir, ns):
-    measures = {}
-    for nn in ns:
-        path = Path(outdir) / f"roots_n{nn}.txt"
-        if not path.exists():
-            raise FileNotFoundError(f"{path} not found; run the roots command first")
-        measures[nn] = serialize.read_roots(path)
-    return measures
 
 
 @cli.command("verify")
@@ -249,14 +253,12 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
     zs = [complex(*_parse_fields(tp, ",", 2, float)) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
     shash = serialize.schedule_hash(sched)
     provenance = {"schedule": shash, "n_list": ns, "data_dir": str(datadir)}
-    measures = _load_measures(datadir, ns)
-    inputs = {"schedule": spath}
-    inputs.update({f"roots_n{nn}": datadir / f"roots_n{nn}.txt" for nn in ns})
+    roots_paths = {nn: _existing(datadir / f"roots_n{nn}.txt", "roots file", "roots") for nn in ns}
+    measures = {nn: serialize.read_roots(path) for nn, path in roots_paths.items()}
+    inputs = {"schedule": spath, **{f"roots_n{nn}": path for nn, path in roots_paths.items()}}
 
     if "distance" in wanted or "convergence" in wanted:
-        level_path = datadir / "level_1_2.csv"
-        if not level_path.exists():
-            raise FileNotFoundError(f"{level_path} not found; run the levels command first")
+        level_path = _existing(datadir / "level_1_2.csv", "level file", "levels")
         loop = serialize.read_level_curve(level_path)
         inputs["level_1_2"] = level_path
 
@@ -304,9 +306,7 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
             click.echo(f"convergence monotone: {report.monotone}")
 
     if "kscore" in wanted:
-        regions_path = datadir / "regions.txt"
-        if not regions_path.exists():
-            raise FileNotFoundError(f"{regions_path} not found; run the regions command first")
+        regions_path = _existing(datadir / "regions.txt", "region file", "regions")
         grid = serialize.read_region_grid(regions_path)
         inputs["regions"] = regions_path
         score = k_set_score(measures[max(ns)], grid, eps_cells * grid.cell_diagonal)
@@ -326,7 +326,7 @@ def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
               help="which roots file to scatter (0: the one with the largest n)")
 @_box_option
 @click.option("--with-regions", is_flag=True, default=False)
-@click.option("--width", type=int, default=720)
+@click.option("--width", type=click.IntRange(min=1), default=720)
 @_out_option
 def cmd_plot(data, n, box, with_regions, width, out):
     """Compose the SVG figure from previously emitted files."""
@@ -336,11 +336,8 @@ def cmd_plot(data, n, box, with_regions, width, out):
 
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
-    box = _parse_fields(box, ":", 4, float)
     if n:
-        chosen = datadir / f"roots_n{n}.txt"
-        if not chosen.exists():
-            raise FileNotFoundError(f"{chosen} not found")
+        chosen = _existing(datadir / f"roots_n{n}.txt", "roots file", "roots")
     else:
         # names whose n is not an integer are not roots files of this package
         numbered = [(int(p.stem[len("roots_n"):]), p) for p in datadir.glob("roots_n*.txt")
@@ -352,9 +349,7 @@ def cmd_plot(data, n, box, with_regions, width, out):
     bpts = serialize.read_point_list(bp_file) if bp_file.exists() else np.array([])
     grid = None
     if with_regions:
-        regions_path = datadir / "regions.txt"
-        if not regions_path.exists():
-            raise FileNotFoundError(f"{regions_path} not found; run the regions command first")
+        regions_path = _existing(datadir / "regions.txt", "region file", "regions")
         grid = serialize.read_region_grid(regions_path)
     if not len(roots) and not curves and grid is None:
         raise FileNotFoundError(f"no data files found in {datadir}")

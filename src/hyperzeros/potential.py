@@ -627,7 +627,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if _crosses_cut(z, zp):
                     return pts, res, criticals, "cut"
                 try:
-                    zc, _f = _newton_correct(fun, zp)
+                    zc, fc = _newton_correct(fun, zp)
                 except BranchCollisionError:
                     # the curve runs into a branch collision (integral mode);
                     # shorten, then give up on this direction
@@ -657,7 +657,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 return pts, res, criticals, "saddle"
             fun.commit(zc)
             pts.append(zc)
-            res.append(fun.value(zc))
+            res.append(fc)
             z = zc
             tangent = t_new
             if turn < 0.1 and h < step:
@@ -703,14 +703,14 @@ def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction) -> complex:
         fhi = fun.value(o + hi * d)
     if flo * fhi > 0:
         raise InvalidInputError("no sign change of the level function along the ray")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
+    # bisect in the geometric mean until the bracket holds no float between
+    while lo < (mid := math.sqrt(lo * hi)) < hi:
         fm = fun.value(o + mid * d)
         if flo * fm <= 0:
-            hi, fhi = mid, fm
+            hi = mid
         else:
             lo, flo = mid, fm
-    return o + math.sqrt(lo * hi) * d
+    return o + mid * d
 
 
 def trace_conjectured_loop(sys: HarmonicSystem, i: int = 2, step: float = 0.004) -> LevelCurve:

@@ -317,16 +317,17 @@ def _float_sum(zf, i):
     """(S, A, top) over the complex128 copies ``zf``: S = sum_j 1/d_j,
     A = sum_j |1/d_j| and top = max_j |1/d_j|, d_j = z_i - z_j over j != i;
     None when a pair is close, |d_j| <= 2^-40 |z_i|, or A is not finite and
-    normal, which a NaN copy (``_float_copy``) always makes it.  Each
-    |1/d_j| can be finite while A overflows; a finite A keeps S finite,
-    since rounding is monotone and |S| <= A term by term."""
+    normal, which a NaN copy (``_float_copy``) always makes it, and the
+    empty sum of degree 1 (A = 0) does too.  Each |1/d_j| can be finite
+    while A overflows; a finite A keeps S finite, since rounding is
+    monotone and |S| <= A term by term."""
     x = zf[i]
     try:
         rs = [1 / (x - y) for y in zf[:i]] + [1 / (x - y) for y in zf[i + 1:]]
         ars = [abs(r) for r in rs]
     except (ZeroDivisionError, OverflowError):
         return None
-    top = max(ars)
+    top = max(ars, default=0.0)
     total = sum(ars)
     if not (_FLOAT_TINY <= total < math.inf and top * abs(x) < _FLOAT_CLOSE):
         return None

@@ -4,6 +4,9 @@ All writers are deterministic: no timestamps, fixed digit counts derived
 from the stated precision, newline-terminated text.  Re-running a command
 with identical inputs reproduces byte-identical files.
 
+The text formats share one reader (``_text_data``): ``#`` header lines, whose
+``key = value`` fields take the single token after ``=``, and data rows.
+
 A region grid is a JSON header line and then one row of label digits 1-9
 per grid row.  The writer emits the whole raster as one byte array and the
 reader parses it the same way; the reader checks the rows against the
@@ -46,6 +49,39 @@ def decimal_digits(precision_bits: int) -> int:
 
 def _mpf_str(x, digits: int) -> str:
     return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
+
+
+def _text_data(path):
+    """(fields, rows) of a text data file: ``fields`` maps the key of each
+    ``key = value`` on a ``#`` line to (the single token after ``=``, line
+    number), a later line winning; ``rows`` lists (line number, line) for
+    every other non-empty line."""
+    fields, rows = {}, []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.startswith("#"):
+            toks = line[1:].split()
+            fields.update((toks[k - 1], (toks[k + 1], lineno))
+                          for k in range(1, len(toks) - 1) if toks[k] == "=")
+        elif line:
+            rows.append((lineno, line))
+    return fields, rows
+
+
+def _field(path, fields, key, convert, *default):
+    """Header field ``key`` converted, or ``default`` when given and the field
+    is absent.  InvalidInputError names the file and line of a field that does
+    not convert, or of the last field when a required one is absent."""
+    if key not in fields:
+        if default:
+            return default[0]
+        lineno = max((n for _, n in fields.values()), default=1)
+        raise InvalidInputError(f"{path}, line {lineno}: malformed header, no field {key!r}")
+    value, lineno = fields[key]
+    try:
+        return convert(value)
+    except ValueError:
+        raise InvalidInputError(
+            f"{path}, line {lineno}: malformed header, {key} = {value!r}") from None
 
 
 def _row(path, lineno: int, line: str, *types, sep=None) -> list:
@@ -130,9 +166,7 @@ def write_polynomial(path, p: HypPolynomial) -> None:
 def read_polynomial_coeffs(path):
     """The exact coefficients back from a polynomial export."""
     coeffs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _text_data(path)[1]:
         k, re, im = _row(path, lineno, line, int, Fraction, Fraction)
         if k != len(coeffs):
             raise InvalidInputError(f"non-contiguous coefficient index in {path}")
@@ -167,26 +201,10 @@ def read_roots(path) -> RootCountingMeasure:
     number of rows than its header's ``count``, as one cut on a row
     boundary has, raises InvalidInputError.
     """
-    precision = None
-    source_n = None
-    count = None
-    numbered = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line.startswith("#"):
-            if "precision_bits" in line:
-                parts = line.lstrip("# ").split()
-                fields = dict(zip(parts[::3], parts[2::3]))
-                try:
-                    precision = int(fields["precision_bits"])
-                    source_n = int(fields.get("n", 0))
-                    count = int(fields["count"])
-                except (KeyError, ValueError):
-                    raise InvalidInputError(f"roots file {path}: malformed header {line!r}") from None
-            continue
-        if line:
-            numbered.append((lineno, line))
-    if precision is None:
-        raise InvalidInputError(f"roots file {path} lacks a precision header")
+    fields, numbered = _text_data(path)
+    precision = _field(path, fields, "precision_bits", int)
+    count = _field(path, fields, "count", int)
+    source_n = _field(path, fields, "n", int, 0)
     with mp.workprec(precision):
         rows = [_row(path, lineno, line, mp.mpf, mp.mpf, mp.mpf) for lineno, line in numbered]
         if len(rows) != count:
@@ -222,12 +240,8 @@ def write_branch_points(path, bps, precision_bits: int = 128) -> None:
 def read_point_list(path) -> np.ndarray:
     import numpy as np
 
-    pts = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
-        pts.append(complex(*_row(path, lineno, line, float, float)))
-    return np.array(pts)
+    return np.array([complex(*_row(path, lineno, line, float, float))
+                     for lineno, line in _text_data(path)[1]])
 
 
 # -- level curves -------------------------------------------------------------
@@ -264,43 +278,24 @@ def read_level_curve(path) -> LevelCurve:
 
     from .potential import CriticalPoint, LevelCurve
 
-    points = []
-    residuals = []
-    pair = (0, 0)
-    closed = False
-    hit_cut = False
-    criticals = ()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line.startswith("#"):
-            toks = line.split()
-            try:
-                if "pair" in toks:
-                    i, j = toks[toks.index("pair") + 2].split(",")
-                    pair = (int(i), int(j))
-                if "closed" in toks:
-                    closed = toks[toks.index("closed") + 2] == "True"
-                if "hit_cut" in toks:
-                    hit_cut = toks[toks.index("hit_cut") + 2] == "True"
-                if "criticals" in toks:
-                    field = toks[toks.index("criticals") + 2]
-                    texts = [] if field == "none" else field.replace("+-", "-").split(";")
-                    criticals = tuple(CriticalPoint(complex(t.replace("i", "j")), ()) for t in texts)
-            except (IndexError, ValueError):
-                raise InvalidInputError(
-                    f"{path}, line {lineno}: malformed header {line[:80]!r}") from None
-            continue
-        if not line or line.startswith("index"):
-            continue
-        _k, re, im, res = _row(path, lineno, line, int, float, float, float, sep=",")
-        points.append(complex(re, im))
-        residuals.append(res)
+    def parse_pair(value):
+        i, j = value.split(",")
+        return int(i), int(j)
+
+    def parse_criticals(value):
+        texts = [] if value == "none" else value.replace("+-", "-").split(";")
+        return tuple(CriticalPoint(complex(t.replace("i", "j")), ()) for t in texts)
+
+    fields, rows = _text_data(path)
+    data = [_row(path, lineno, line, int, float, float, float, sep=",")
+            for lineno, line in rows if not line.startswith("index")]
     return LevelCurve(
-        pair=pair,
-        points=np.array(points),
-        residuals=np.array(residuals),
-        closed=closed,
-        critical_points=criticals,
-        hit_cut=hit_cut,
+        pair=_field(path, fields, "pair", parse_pair),
+        points=np.array([complex(re, im) for _, re, im, _ in data]),
+        residuals=np.array([res for *_, res in data]),
+        closed=_field(path, fields, "closed", "True".__eq__, False),
+        critical_points=_field(path, fields, "criticals", parse_criticals, ()),
+        hit_cut=_field(path, fields, "hit_cut", "True".__eq__, False),
     )
 
 

@@ -10,7 +10,6 @@ from hyperzeros.algcurve import (
     branches_at,
     build_curve,
     discriminant_z,
-    rational_branches,
     verify_rational_branches,
     w_coefficients,
 )
@@ -174,11 +173,12 @@ class TestBranchesAt:
     def test_degenerate_closed_forms(self):
         sched = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
         curve = build_curve(sched)
-        funcs = rational_branches(sched)
         z = mp.mpc(0.7, 0.4)
         got = branches_at(curve, z, 128)
         with mp.workprec(192):
-            expected = sorted((f(z) for f in funcs), key=lambda v: (v.real, v.imag))
+            # branch 1 is w = 1/(z - 1), branch i >= 2 is w = -alpha_i/z
+            closed_forms = [1 / (z - 1)] + [-complex(al) / z for al in sched.alphas[1:]]
+            expected = sorted(closed_forms, key=lambda v: (v.real, v.imag))
             for g, e in zip(got, expected):
                 assert abs(g - e) < mp.mpf(2) ** -100
 

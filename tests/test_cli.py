@@ -196,6 +196,36 @@ class TestRootsAndVerify:
         code = run("plot", "--out", tmp_path / "empty")
         assert code == 4
 
+    def test_plot_missing_roots_names_writer(self, tmp_path, capsys):
+        assert run("plot", "--n", 7, "--out", tmp_path / "o") == 4
+        assert "roots_n7.txt not found; run the roots command first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["1:1:0:1", "2:1:0:1", "0:1:1:0", "nan:1:0:1", "-inf:1:0:1",
+                                     "0:1:0:inf"])
+    @pytest.mark.parametrize("command", ["plot", "regions"])
+    def test_bad_box_exit_two(self, sched_file, tmp_path, capsys, command, box):
+        flags = ["--schedule", sched_file] if command == "regions" else []
+        assert run(command, *flags, "--box", box, "--out", tmp_path / "o") == 2
+        assert "box" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "figure.svg").exists()
+
+    @pytest.mark.parametrize("width", [0, -5])
+    def test_plot_width_not_positive_exit_two(self, sched_file, tmp_path, width):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("plot", "--width", width, "--out", out) == 2
+        assert not (out / "figure.svg").exists()
+
+    def test_roots_degree_one_past_float_gate(self, tmp_path, capsys):
+        # n = 1 at 2048 bits: degree x grid bits passes the float sum's gate,
+        # and a lone root has no pairs to sum
+        spath = tmp_path / "fig5.json"
+        serialize.write_schedule(spath, ParameterSchedule.diagonal((CR(0, 1), CR(1, 2))))
+        assert run("roots", "--schedule", spath, "--n-list", 1, "--precision", 2048,
+                   "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().out.startswith("n=1: 1 roots at 2048 bits")
+
     def test_plot_scatters_largest_n(self, sched_file, tmp_path):
         # by name roots_n9.txt sorts after roots_n10.txt; an unparsable n is skipped
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperzeros import potential
 from hyperzeros.errors import (
     BranchCollisionError,
     InvalidInputError,
@@ -233,6 +234,89 @@ class TestTrace:
     def test_bad_step_rejected(self, sys_k1, step):
         with pytest.raises(InvalidInputError, match="step"):
             trace_level_curve(sys_k1, (1, 2), 1.2071067811865475, step=step)
+
+
+# slopes i and 2i: H~_2 - H~_3 = -arg z + const, so the level set of the pair
+# (2, 3) is a ray from 0, along which the tangent never turns
+RAY = ParameterSchedule.diagonal((CR(0, 1), CR(0, 2)))
+
+
+class TestTracePaths:
+    """The stops and step controls of ``trace_level_curve``, each reached by
+    an input of its own."""
+
+    def test_closes_by_return_to_seed(self, sys_k1):
+        # the oval |z (1 - z)| = 0.24 around 1 has no saddle: the forward
+        # march comes back within step/2 of the seed, and no backward march runs
+        curve = trace_level_curve(_forced_integral(sys_k1), (1, 2), 1.2, step=0.005)
+        assert curve.closed and not curve.hit_cut and curve.critical_points == ()
+        z = curve.points
+        assert abs(z[-1] - z[0]) < 0.005 / 2 < abs(z[1] - z[0])
+        assert np.max(np.abs(np.abs(z * (1 - z)) - 0.24)) < 1e-9
+
+    def test_halves_where_the_tangent_turns(self, sys_k1):
+        # at step 0.3 the lemniscate lobe turns by more than 0.45 per step, so
+        # every step between the two saddle ends is halved to a quarter
+        seed = level_seed_on_ray(sys_k1, (1, 2), 1.0, 1.0)
+        curve = trace_level_curve(sys_k1, (1, 2), seed, step=0.3)
+        assert curve.closed and [c.location for c in curve.critical_points] == [0.5, 0.5]
+        inner = curve.points[1:-1]
+        assert np.all(np.abs(np.diff(inner)) < 0.3 / 2)
+        # the tangent i conj(f_1 - f_2), up to sign, turns at most 0.45 per step
+        t = 1j * np.conj(1 / (inner - 1) + 1 / inner)
+        turns = np.abs(np.angle(t[1:] / t[:-1]))
+        assert np.all(np.minimum(turns, np.pi - turns) <= 0.45)
+        assert np.max(np.abs(np.abs(inner * (1 - inner)) - 0.25)) < 1e-10
+
+    def test_halves_on_failed_corrections_and_regrows(self, monkeypatch):
+        # marching into 0 along the ray, the predictor overshoots and the
+        # correction fails; the step halves, grows back after each accepted
+        # point, and the march ends when it stalls below step/4096
+        step = 0.7
+        tries = []
+        crosses_cut = potential._crosses_cut
+        monkeypatch.setattr(potential, "_crosses_cut",
+                            lambda a, b: tries.append((a, abs(b - a))) or crosses_cut(a, b))
+        curve = trace_level_curve(make_harmonic_system(RAY), (2, 3), 1 + 1j, step=step,
+                                  max_points=400)
+        assert not curve.closed and not curve.hit_cut
+        assert np.ptp(np.angle(curve.points)) < 1e-12
+        # the predictor steps taken from each base point, in order
+        runs = []
+        for base, h in tries:
+            if runs and runs[-1][0] == base:
+                runs[-1][1].append(h)
+            else:
+                runs.append((base, [h]))
+        seed = tries[0][0]
+        # the ray never turns, so a step halved at one base point is a failed correction
+        assert any(len(hs) > 1 for _, hs in runs)
+        # a later base point starts from twice the step that last succeeded
+        assert any(math.isclose(nxt[1][0], 2 * cur[1][-1])
+                   for cur, nxt in zip(runs, runs[1:]) if nxt[0] != seed)
+        assert min(h for _, h in tries) < step / 2048
+
+    def test_ends_beyond_modulus_1e6(self):
+        # outward along the ray the march stops once |z| > 1e6, long before
+        # max_points; inward it reaches the cut
+        curve = trace_level_curve(make_harmonic_system(RAY), (2, 3), 1 + 1j, step=1e4)
+        assert not curve.closed and curve.hit_cut
+        assert 1e6 < np.max(np.abs(curve.points)) < 1e6 + 2e4
+        assert len(curve) < 200
+
+    def test_saddle_found_by_gradient(self):
+        # integral mode knows no critical points, so a saddle is found where
+        # |grad F| < 1e-6.  For alpha = -0.99 + 0.01i the saddle p = -49 + 50i
+        # is so flat (|F''| = |alpha + 1|^3 / |alpha| ~ 3e-6) that the march
+        # reaching it at step 1 stops within 0.35 of it
+        sys_ = make_harmonic_system(ParameterSchedule.loop_2f1(CR(F(-99, 100), F(1, 100))))
+        p = sys_.branch_point_list[0]
+        loop = trace_conjectured_loop(sys_, 2, step=1.0)
+        seed = min(loop.points, key=lambda z: abs(abs(z - p) - 3))
+        curve = trace_level_curve(_forced_integral(sys_), (1, 2), seed, step=1.0, max_points=3)
+        (saddle,) = curve.critical_points
+        assert 0 < abs(saddle.location - p) < 0.35
+        assert len(saddle.directions) == 4
 
 
 class TestIntegralModeTrace:

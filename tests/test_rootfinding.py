@@ -506,6 +506,15 @@ class TestAberthSum:
         one = 1 << b
         assert rootfinding._float_copy(r, i, one) == complex(r / one, i / one)
 
+    def test_degree_one_takes_integer_loop(self):
+        # a lone root has no pairs: the empty float sum (A = 0) is rejected,
+        # so 3 + z at 2048 bits, past the float pass's gate, solves
+        assert rootfinding._float_sum([1.5 + 0j], 0) is None
+        roots, residuals, _, used, _ = solve_all_roots([CR(3), CR(1)], 2048)
+        assert used == 2048 and roots == [mp.mpc(-3)] and residuals[0] < mp.mpf(2) ** -2000
+        m = find_roots(build_polynomial(SCHED, 1), 2048)
+        assert m.n == 1 and m.precision_bits == 2048
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(8, 600), st.integers(1, 12), st.data())
     def test_pair_sum_matches_reference(self, b, deg, data):

@@ -179,6 +179,40 @@ class TestRootCount:
             serialize.read_roots(path)
 
 
+class TestHeaderFields:
+    """The text readers take their headers through one ``key = value`` parser."""
+
+    def test_level_file_without_pair_rejected(self, tmp_path):
+        # every writer writes pair; without it the file would read as pair (0, 0)
+        path = tmp_path / "level.csv"
+        path.write_text("# level curve closed = True\nindex,re,im,residual\n0,1.5,0,0.000e+00\n")
+        with pytest.raises(InvalidInputError,
+                           match="level.csv, line 1: malformed header, no field 'pair'"):
+            serialize.read_level_curve(path)
+
+    @pytest.mark.parametrize("header, line, message", [
+        ("# roots export\n# n = 1 count = 1 precision_bits = 12x8\n", 2, "precision_bits = '12x8'"),
+        ("# roots export\n# n = 1 count = 1\n", 2, "no field 'precision_bits'"),
+        ("", 1, "no field 'precision_bits'"),
+        ("# n = one count = 1 precision_bits = 128\n", 1, "n = 'one'"),
+    ], ids=["bad-precision", "no-precision", "no-header", "bad-n"])
+    def test_roots_header_error_names_line(self, tmp_path, header, line, message):
+        path = tmp_path / "roots.txt"
+        path.write_text(header + "1.5 0 1e-40\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"roots.txt, line {line}: malformed header, {message}"):
+            serialize.read_roots(path)
+
+    def test_fields_found_by_key(self, tmp_path):
+        # a field is the token after "=", on whichever # line it stands
+        path = tmp_path / "roots.txt"
+        path.write_text("# roots export: re im (precision_bits from the header)\n"
+                        "# schedule = sha256:0 count = 1\n# precision_bits = 128 n = 3\n"
+                        "1.5 0 1e-40\n")
+        m = serialize.read_roots(path)
+        assert (m.precision_bits, m.n, m.source_n) == (128, 1, 3)
+
+
 class TestTruncatedRows:
     """Each row reader rejects a row cut short, naming the file and line."""
 
