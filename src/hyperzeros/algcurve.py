@@ -41,7 +41,7 @@ from .exact import (
     poly_trim,
 )
 from .hyppoly import ParameterSchedule
-from .rootfinding import solve_all_roots, to_big_complex
+from .rootfinding import checked_precision, solve_all_roots, to_big_complex
 
 
 def w_coefficients(m_coeffs, n_coeffs, z):
@@ -127,9 +127,9 @@ def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
 
     z must avoid 0 (all terms carry z w, the equation degenerates) and
     should avoid 1 and branch points (there the returned list contains
-    coinciding values).
+    coinciding values).  A precision below 1 bit raises InvalidInputError.
     """
-    wp = precision_bits + 32
+    wp = checked_precision(precision_bits) + 32
     with mp.workprec(wp):
         zz = mp.mpc(z)
         if abs(zz) < mp.mpf(2) ** (-precision_bits // 2):
@@ -146,8 +146,6 @@ def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
             raise InvalidInputError(
                 f"leading w-coefficient of A({z}, .) vanishes (z in {{0, 1}}?)"
             )
-        if curve.degree_w == 1:
-            return [-coeffs[0] / coeffs[1]]
         roots, _, _, _, _ = solve_all_roots(coeffs, precision_bits)
         return roots
 

@@ -9,7 +9,8 @@ default in the option's decorator.  click applies that order itself: the
 group hands the config to every command as its ``default_map``, so config
 keys are the option names with ``-`` replaced by ``_``.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence,
+Exit codes: 0 success, 2 invalid input (a level seed at a saddle among
+them), 3 numerical failure (non-convergence or a branch collision),
 4 missing files.
 
 The commands import the array modules (numpy, ``potential``,
@@ -28,7 +29,12 @@ import click
 import mpmath as mp
 
 from . import serialize
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import (
+    BranchCollisionError,
+    InvalidInputError,
+    NonConvergenceError,
+    SaddleAtSeedError,
+)
 from .hyppoly import build_polynomial
 from .rootfinding import find_roots
 
@@ -374,13 +380,16 @@ def main(argv=None):
         return 2
     except click.exceptions.Abort:
         return 2
-    except InvalidInputError as exc:
+    except (InvalidInputError, SaddleAtSeedError) as exc:
         click.echo(f"invalid input: {exc}", err=True)
         return 2
     except NonConvergenceError as exc:
         click.echo(f"non-convergence: {exc}", err=True)
         for entry in exc.trace:
             click.echo(f"  {entry}", err=True)
+        return 3
+    except BranchCollisionError as exc:
+        click.echo(f"branch collision: {exc}", err=True)
         return 3
     except FileNotFoundError as exc:
         click.echo(f"missing file: {exc}", err=True)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InvalidInputError -> 2,
-NonConvergenceError -> 3, missing files (FileNotFoundError) -> 4.
+The CLI maps these onto exit codes: InvalidInputError and
+SaddleAtSeedError -> 2, NonConvergenceError and BranchCollisionError -> 3,
+missing files (FileNotFoundError) -> 4.
 """
 
 
@@ -53,13 +54,14 @@ class SaddleAtSeedError(RuntimeError):
     """A level-curve trace was seeded at a critical point.
 
     ``point`` is the critical point and ``directions`` the four outgoing
-    level-set directions from the local quadratic model.
+    level-set directions (radians) from the local quadratic model.
     """
 
     def __init__(self, point, directions):
         self.point = point
         self.directions = directions
         super().__init__(
-            f"seed {point} is a critical point of the level function; "
-            f"outgoing directions {directions}"
+            f"the seed lies at the critical point {point} of the level function; "
+            f"reseed along one of its outgoing directions "
+            f"{', '.join(f'{d:.6f}' for d in directions)} (radians)"
         )

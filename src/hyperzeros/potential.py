@@ -21,10 +21,10 @@ is treated as a barrier: traces stop there and the region grid never
 compares labels across it.
 
 A level-curve trace marches from its seed in both directions, and each march
-stops for one reason: "closed" (back at the seed), "saddle" (at a critical
-point of the difference), "cut" (at the Arg-cut barrier) or "end" (the step
-stalls, |z| exceeds 1e6, or ``max_points`` is reached).  ``LevelCurve``
-records the first two as ``closed`` and the third as ``hit_cut``.
+stops for one reason: "closed" (back at the seed), "saddle" (at a known
+critical point), "cut" (at the Arg-cut barrier) or "end" (the step stalls,
+|z| exceeds 1e6, or ``max_points`` is reached).  ``LevelCurve`` records the
+first two as ``closed`` and the third as ``hit_cut``.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class HarmonicSystem:
     (general schedules, path quadrature).  ``offsets[i-1]`` is the constant
     C_i with H~_i = H_i + C_i; only differences H~_i - H~_j and region
     labels are basepoint-independent.  In integral mode the offsets are not
-    defined (no canonical branch-to-branch-point pairing is constructed) and
-    operations that need them reject the system.
+    defined (no canonical branch-to-branch-point pairing is constructed),
+    the basepoint may be None, and operations that need them reject the system.
     """
 
     schedule: ParameterSchedule
-    basepoint: complex
+    basepoint: complex | None
     mode: str
     curve: BivariateCurve
     offsets: tuple
@@ -170,11 +170,11 @@ class HarmonicSystem:
         return self.shifted(i, z) - self.shifted(j, z)
 
     def critical_points(self, pair):
-        """Known critical points of the pair difference (closed mode).
+        """The known critical points of the pair difference: the tracer's saddles.
 
-        f_1 - f_i vanishes exactly at the branch point p_i; differences of
-        two rational branches i, j >= 2 have constant numerator and no
-        finite critical points.
+        In closed mode f_1 - f_i vanishes exactly at the branch point p_i;
+        differences of two rational branches i, j >= 2 have constant
+        numerator and no finite critical points.  Integral mode lists none.
         """
         if self.mode == "closed" and min(pair) == 1 < max(pair):
             return [self.branch_point_list[max(pair) - 2]]
@@ -186,7 +186,7 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
 
     Degenerate schedules get closed-form mode with the basepoint defaulting
     to the first branch point p_2 = alpha_2/(alpha_2 + 1); general schedules
-    get integral mode and require an explicit basepoint.
+    get integral mode, where the basepoint stays None unless given.
     """
     curve = build_curve(schedule)
     if schedule.is_degenerate:
@@ -205,9 +205,7 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
             pi = bpts[i - 2]
             offsets.append(float(sys0.harmonic(1, pi) - sys0.harmonic(i, pi)))
         return HarmonicSystem(schedule, p, "closed", curve, tuple(offsets), tuple(bpts))
-    if basepoint is None:
-        raise InvalidInputError("integral mode needs an explicit basepoint")
-    p = complex(basepoint)
+    p = complex(basepoint) if basepoint is not None else None
     return HarmonicSystem(schedule, p, "integral", curve, (), ())
 
 
@@ -390,8 +388,11 @@ def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None) -> 
     SINGULAR_GUARD of 0 or 1 raises InvalidInputError.  In integral mode it
     tracks the branch to the nearest value, steps shorten where it nears
     another branch, and a genuine collision raises BranchCollisionError so
-    the caller can reroute.
+    the caller can reroute.  A system without a basepoint raises
+    InvalidInputError.
     """
+    if sys.basepoint is None:
+        raise InvalidInputError("harmonic values need the system's basepoint, none was given")
     pts = [sys.basepoint] + ([complex(w) for w in path] if path else []) + [complex(z)]
     if sys.mode == "closed":
         def branch_values(nodes, _ws):
@@ -505,22 +506,13 @@ class _IntegralLevelFunction:
         _, _, wi, wj = self._state(z)
         return complex(np.conjugate(wi - wj))
 
-    def second(self, z):
-        h = 1e-6
-        gp = np.conjugate(self.gradient(z + h))
-        gm = np.conjugate(self.gradient(z - h))
-        return (gp - gm) / (2 * h)
-
     def commit(self, z):
         self.anchor, self.f_anchor, self.wi, self.wj = self._state(z)
 
 
 def _saddle_directions(g2: complex):
     """The four level-set directions at a critical point with second derivative g2."""
-    if g2 == 0:
-        base = 0.0
-    else:
-        base = (math.pi / 2 - cmath.phase(g2)) / 2
+    base = (math.pi / 2 - cmath.phase(g2)) / 2
     return tuple(base + k * math.pi / 2 for k in range(4))
 
 
@@ -560,14 +552,16 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     The seed is first Newton-corrected onto the curve; the trace then
     marches forward and, unless the forward march closes, backward.  Each
     march stops for one reason: "closed" on returning within step/2 of the
-    start, "saddle" at a critical point (reported with its four outgoing
-    directions), "cut" at the Arg-cut barrier, or "end" when the step
-    stalls below step/4096, |z| exceeds 1e6 or ``max_points`` is reached.
-    The curve is closed when a march closes or both marches end at the same
-    saddle, and ``hit_cut`` when either march reached the cut.  Every
-    emitted point has implicit residual below ``TRACE_RESIDUAL_TOL``.
+    start, "saddle" within ``step`` of a point of ``sys.critical_points``
+    (reported at that point, with its four outgoing directions), "cut" at
+    the Arg-cut barrier, or "end" when the step stalls below step/4096, |z|
+    exceeds 1e6 or ``max_points`` is reached; integral mode has no saddle
+    stop.  The curve is closed when a march closes or both marches end at
+    the same saddle, and ``hit_cut`` when either march reached the cut.
+    Every emitted point has implicit residual below ``TRACE_RESIDUAL_TOL``.
     InvalidInputError rejects a pair outside 1..A or with i = j, and a step
-    that is not positive and finite.
+    that is not positive and finite; SaddleAtSeedError a corrected seed
+    within the stall bound step/4096 of a critical point.
 
     In integral mode the curve traced is the level set of H_i - H_j through
     the seed (offsets are a closed-form construct).
@@ -593,22 +587,11 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
             f"(residual {f0:.3e}); seed closer to the curve"
         )
     fun.commit(z0)
-
-    # critical-point threshold: in closed mode relative to the median gradient
-    # over a local sample, in integral mode absolute
-    grad_scale = 1.0
-    if sys.mode == "closed":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mags = [abs(fun.gradient(z0 + 0.5 * (k1 + 1j * k2) / 4))
-                    for k1 in range(-4, 5) for k2 in range(-4, 5) if (k1, k2) != (0, 0)]
-        mags = [g for g in mags if np.isfinite(g)]
-        if mags:
-            grad_scale = float(np.median(mags))
-    crit_tol = 1e-6 * grad_scale
+    at_seed = next((c for c in known_criticals if abs(z0 - c) < step / 4096), None)
+    if at_seed is not None:
+        raise SaddleAtSeedError(at_seed, _saddle_directions(fun.second(at_seed)))
 
     g0 = fun.gradient(z0)
-    if abs(g0) < crit_tol:
-        raise SaddleAtSeedError(z0, _saddle_directions(fun.second(z0)))
 
     def march(direction_sign):
         """(points, residuals, criticals, stop) of one march from z0."""
@@ -638,9 +621,6 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                         return pts, res, criticals, "end"
                     continue
                 g = fun.gradient(zc)
-                if abs(g) < crit_tol:
-                    saddle = zc
-                    break
                 t_new = 1j * g / abs(g)
                 if (t_new.conjugate() * tangent).real < 0:
                     t_new = -t_new
@@ -648,7 +628,7 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if turn > 0.45 and h > step / 4096:
                     h /= 2
                     continue
-                saddle = next((c for c in known_criticals if abs(zc - c) < max(h, step)), None)
+                saddle = next((c for c in known_criticals if abs(zc - c) < step), None)
                 break
             if saddle is not None:
                 criticals.append(CriticalPoint(saddle, _saddle_directions(fun.second(saddle))))

@@ -76,11 +76,19 @@ _FLOAT_TINY = 2.0 ** -1022  # the smallest normal double
 _FLOAT_CLOSE = 2.0 ** 40  # |1/d_j| |z_i| at or above this: the pair is close
 
 
+def checked_precision(bits: int) -> int:
+    """``bits``, or InvalidInputError when it is below 1: mpmath rounds
+    nonsense at 0 bits and loops forever at some inputs."""
+    if bits < 1:
+        raise InvalidInputError(f"precision must be at least 1 bit, got {bits}")
+    return bits
+
+
 def fraction_to_mpf(f: Fraction, prec: int) -> mp.mpf:
-    """Correctly rounded conversion of an exact rational at ``prec`` bits.
+    """Correctly rounded conversion of an exact rational at ``prec`` >= 1 bits.
 
     Built from raw libmp values so the ambient context precision cannot
-    re-round the result.
+    re-round the result.  ``to_big_complex`` checks ``prec`` first.
     """
     return mp.make_mpf(
         mpf_div(from_int(f.numerator), from_int(f.denominator), prec, round_nearest)
@@ -91,8 +99,10 @@ def to_big_complex(x, prec: int) -> mp.mpc:
     """Correctly rounded conversion of a ComplexRational (or number) at ``prec`` bits.
 
     Every input type is rounded at ``prec`` itself, independent of the
-    ambient context precision.
+    ambient context precision.  A ``prec`` below 1 bit raises
+    InvalidInputError.
     """
+    checked_precision(prec)
     if isinstance(x, ComplexRational):
         return mp.make_mpc(
             (fraction_to_mpf(x.re, prec)._mpf_, fraction_to_mpf(x.im, prec)._mpf_)
@@ -700,13 +710,15 @@ def solve_all_roots(coeffs, precision_bits, seeds=None):
     roots, one each, in place of the Newton-polygon circles.
 
     Returns (roots, residuals, forwards, precision_used, trace), rounded to
-    ``precision_used`` bits and sorted lexicographically by (re, im).
+    ``precision_used`` bits and sorted lexicographically by (re, im).  A
+    precision below 1 bit raises InvalidInputError, as in ``to_big_complex``.
     Raises NonConvergenceError with the iteration trace when even the
     precision cap fails to certify.
     """
     degree = len(coeffs) - 1
     if degree < 1:
         raise InvalidInputError("polynomial must have at least one root")
+    checked_precision(precision_bits)
     zeros_at_origin = 0
     while zeros_at_origin < degree and not coeffs[zeros_at_origin]:
         zeros_at_origin += 1

@@ -34,7 +34,7 @@ from .exact import (
     parse_complex_rational,
 )
 from .hyppoly import HypPolynomial, ParameterSchedule
-from .rootfinding import RootCountingMeasure
+from .rootfinding import RootCountingMeasure, checked_precision
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,10 +199,10 @@ def read_roots(path) -> RootCountingMeasure:
     Clusters are recomputed from the stored roots; forward bounds are not
     stored, so they read back as infinite (unknown).  A file with another
     number of rows than its header's ``count``, as one cut on a row
-    boundary has, raises InvalidInputError.
+    boundary has, or a ``precision_bits`` below 1 raises InvalidInputError.
     """
     fields, numbered = _text_data(path)
-    precision = _field(path, fields, "precision_bits", int)
+    precision = _field(path, fields, "precision_bits", lambda v: checked_precision(int(v)))
     count = _field(path, fields, "count", int)
     source_n = _field(path, fields, "n", int, 0)
     with mp.workprec(precision):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 CURVE_COLORS = ["#0050c8", "#c81e14", "#0a8c3c", "#aa28b4", "#c87800", "#14b4b4"]
 REGION_COLORS = ["#dce8fa", "#fadcdc", "#dcf5e1", "#f3dcf8", "#faedd2", "#d7f3f3"]
 
@@ -21,13 +23,19 @@ def _fmt(x: float) -> str:
 
 
 class SvgFigure:
-    """A fixed-size canvas mapping a complex-plane box to pixel coordinates."""
+    """A fixed-size canvas mapping a complex-plane box to pixel coordinates.
+
+    The height keeps the box's aspect ratio; a box so flat that the figure
+    would be less than one pixel high raises InvalidInputError.
+    """
 
     def __init__(self, box, width: int = 720):
         xmin, xmax, ymin, ymax = box
         self.box = box
         self.width = width
         self.height = int(round(width * (ymax - ymin) / (xmax - xmin)))
+        if self.height < 1:
+            raise InvalidInputError(f"box {box} is less than one pixel high at width {width}")
         self.sx = width / (xmax - xmin)
         self.sy = self.height / (ymax - ymin)
         self.parts = []

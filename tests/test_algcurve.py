@@ -201,6 +201,25 @@ class TestBranchesAt:
         with pytest.raises(InvalidInputError):
             branches_at(curve_k(1), mp.mpc(0), 128)
 
+    def test_single_branch_certified_at_prec(self):
+        # A = 1, B = 0: the one branch w = 1/(z - 1) is solved and rounded to
+        # prec bits like the branches of every other degree
+        curve = build_curve(ParameterSchedule((-1,), (0,), (), ()))
+        z = mp.mpc(0.7, 0.4)
+        (w,) = branches_at(curve, z, 128)
+        assert max(w.real._mpf_[3], w.imag._mpf_[3]) <= 128
+        with mp.workprec(192):
+            assert abs(w - 1 / (z - 1)) < mp.mpf(2) ** -120
+
+    @pytest.mark.parametrize("prec", [0, -3, -40])
+    def test_precision_below_one_bit_rejected(self, prec):
+        for sched in (ParameterSchedule.loop_2f1(1), ND3):
+            curve = build_curve(sched)
+            with pytest.raises(InvalidInputError, match="at least 1 bit"):
+                branches_at(curve, mp.mpc(0.5, 0.2), prec)
+            with pytest.raises(InvalidInputError, match="at least 1 bit"):
+                branch_points(curve, sched, prec)
+
     def test_branch_count_and_residual(self):
         sched = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
         curve = build_curve(sched)

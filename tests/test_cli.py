@@ -12,12 +12,16 @@ import pytest
 import hyperzeros
 from hyperzeros import serialize
 from hyperzeros.cli import main
+from hyperzeros.errors import BranchCollisionError, NonConvergenceError
 from hyperzeros.exact import ComplexRational
 from hyperzeros.hyppoly import ParameterSchedule
+from hyperzeros.svgfig import REGION_COLORS
 
 CR = ComplexRational
 F = Fraction
 K1 = ParameterSchedule.loop_2f1(1)
+FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
+ND3 = ParameterSchedule((-1, CR(F(1, 2), 1), 2), (0, 1, 0), (1, CR(F(3, 2), -1)), (0, 1))
 
 
 @pytest.fixture()
@@ -298,6 +302,98 @@ class TestRootsAndVerify:
         assert run("verify", "--experiments", "distance", "--n-list", 6,
                    "--schedule", sched_file, "--out", out) == 2
         assert "header says count 6" in capsys.readouterr().err
+
+
+def _schedule_file(tmp_path, sched, name):
+    path = tmp_path / f"{name}.json"
+    serialize.write_schedule(path, sched)
+    return path
+
+
+class TestFailurePaths:
+    """Inputs that end in each exit code, and the command paths no other test runs."""
+
+    @pytest.mark.parametrize("precision", [0, -3])
+    @pytest.mark.parametrize("family", ["fig5", "nd3"])
+    def test_curve_precision_below_one_bit_exit_two(self, tmp_path, capsys, family, precision):
+        # FIG5 hung in mpmath's 0-bit division; ND3 wrote two meaningless branch points
+        spath = _schedule_file(tmp_path, {"fig5": FIG5, "nd3": ND3}[family], family)
+        out = tmp_path / "out"
+        assert run("curve", "--schedule", spath, "--precision", precision, "--out", out) == 2
+        assert f"precision must be at least 1 bit, got {precision}" in capsys.readouterr().err
+        assert not (out / "branch_points.txt").exists()
+
+    def test_levels_seed_at_saddle_exit_two(self, sched_file, tmp_path, capsys):
+        assert run("levels", "--schedule", sched_file, "--pair", "1,2", "--seed", "0.5,0",
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "critical point (0.5+0j)" in err
+        assert "-0.785398, 0.785398, 2.356194, 3.926991 (radians)" in err
+
+    def test_levels_general_schedule(self, tmp_path):
+        # integral mode anchors the trace at its seed and needs no basepoint
+        spath = _schedule_file(tmp_path, ND3, "nd3")
+        out = tmp_path / "out"
+        assert run("levels", "--schedule", spath, "--pair", "1,2", "--seed=-0.5,0.8",
+                   "--step", 0.02, "--out", out) == 0
+        curve = serialize.read_level_curve(out / "level_1_2.csv")
+        assert curve.pair == (1, 2) and curve.hit_cut and not curve.closed
+        assert len(curve) == 344 and curve.critical_points == ()
+
+    def test_non_convergence_exit_three_prints_trace(self, sched_file, tmp_path, monkeypatch,
+                                                     capsys):
+        def fail(p, bits):
+            raise NonConvergenceError("did not certify",
+                                      trace=[{"phase": "certify", "working_bits": bits}])
+
+        monkeypatch.setattr("hyperzeros.cli.find_roots", fail)
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "non-convergence: did not certify\n  {'phase': 'certify', 'working_bits': 128}" in err
+
+    def test_branch_collision_exit_three(self, sched_file, tmp_path, monkeypatch, capsys):
+        def collide(*args, **kwargs):
+            raise BranchCollisionError("branches collide near z = 0.5", where=0.5)
+
+        monkeypatch.setattr("hyperzeros.potential.trace_level_curve", collide)
+        assert run("levels", "--schedule", sched_file, "--pair", "1,2", "--seed", "1.2,0",
+                   "--out", tmp_path / "o") == 3
+        assert "branch collision: branches collide near z = 0.5" in capsys.readouterr().err
+
+    def test_plot_box_below_one_pixel_exit_two(self, sched_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("plot", "--box", "0:10000:0:1", "--out", out) == 2
+        assert "less than one pixel high" in capsys.readouterr().err
+        assert not (out / "figure.svg").exists()
+
+    def test_plot_with_regions_draws_the_raster(self, sched_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("regions", "--schedule", sched_file, "--resolution", 40, "--out", out) == 0
+        assert run("plot", "--with-regions", "--out", out) == 0
+        svg = (out / "figure.svg").read_text()
+        raster = svg[svg.index('<g shape-rendering="crispEdges">'):]
+        raster = raster[:raster.index("</g>")]
+        # both labels of the K1 grid, one rect per run of equal labels in a row
+        assert f'fill="{REGION_COLORS[0]}"' in raster and f'fill="{REGION_COLORS[1]}"' in raster
+        assert 40 < raster.count("<rect") < 40 * 40
+
+    def test_verify_convergence_skipped_for_three_slopes(self, tmp_path, capsys):
+        # branch designation exists only for two slopes: the report records the skip
+        spath = _schedule_file(tmp_path, FIG5, "fig5")
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", spath, "--n-list", "4,6", "--precision", 128,
+                   "--out", out) == 0
+        assert run("levels", "--schedule", spath, "--out", out) == 0
+        assert run("verify", "--schedule", spath, "--n-list", "4,6", "--experiments",
+                   "convergence", "--out", out) == 0
+        report = json.loads((out / "report_convergence.json").read_text())
+        assert set(report) == {"provenance", "skipped"} and report["skipped"]
+        assert "convergence skipped: " in capsys.readouterr().out
 
 
 class TestConfigPrecedence:

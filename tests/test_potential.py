@@ -191,6 +191,16 @@ class TestTrace:
         assert abs(dirs[0] - math.pi / 4) < 1e-6
         assert abs(dirs[1] - 3 * math.pi / 4) < 1e-6
 
+    @pytest.mark.parametrize("seed", [0.5 + 1e-7, 0.5 + 1e-6j])
+    def test_seed_near_saddle_reports_the_saddle(self, sys_k1, seed):
+        # the corrected seed lies within the stall bound step/4096 of the
+        # saddle, and the error names the saddle, not the seed
+        with pytest.raises(SaddleAtSeedError) as err:
+            trace_level_curve(sys_k1, (1, 2), seed, step=0.005)
+        assert err.value.point == 0.5
+        assert err.value.directions == pytest.approx(
+            tuple(-math.pi / 4 + k * math.pi / 2 for k in range(4)))
+
     def test_conjectured_loop_complex_alpha(self, sys_conj):
         curve = trace_conjectured_loop(sys_conj, 2, step=0.004)
         assert curve.closed
@@ -304,19 +314,23 @@ class TestTracePaths:
         assert 1e6 < np.max(np.abs(curve.points)) < 1e6 + 2e4
         assert len(curve) < 200
 
-    def test_saddle_found_by_gradient(self):
-        # integral mode knows no critical points, so a saddle is found where
-        # |grad F| < 1e-6.  For alpha = -0.99 + 0.01i the saddle p = -49 + 50i
-        # is so flat (|F''| = |alpha + 1|^3 / |alpha| ~ 3e-6) that the march
-        # reaching it at step 1 stops within 0.35 of it
+    def test_flat_saddle_at_known_critical_point(self):
+        # for alpha = -0.99 + 0.01i the saddle p = -49 + 50i is so flat
+        # (|F''| = |alpha + 1|^3 / |alpha| ~ 3e-6) that |grad F| stays tiny far
+        # from it; the march reaching it at step 1 stops at the known p itself
         sys_ = make_harmonic_system(ParameterSchedule.loop_2f1(CR(F(-99, 100), F(1, 100))))
         p = sys_.branch_point_list[0]
         loop = trace_conjectured_loop(sys_, 2, step=1.0)
         seed = min(loop.points, key=lambda z: abs(abs(z - p) - 3))
-        curve = trace_level_curve(_forced_integral(sys_), (1, 2), seed, step=1.0, max_points=3)
+        curve = trace_level_curve(sys_, (1, 2), seed, step=1.0, max_points=3)
         (saddle,) = curve.critical_points
-        assert 0 < abs(saddle.location - p) < 0.35
-        assert len(saddle.directions) == 4
+        assert saddle.location == p and p in curve.points
+        # the level set crosses itself at right angles, one branch along
+        # arg(i / F'')/2 with F'' = -(1 + alpha)^3 / alpha at p
+        alpha = complex(sys_.schedule.alphas[1])
+        along = np.angle(-1j * alpha / (1 + alpha) ** 3) / 2
+        assert abs(math.remainder(saddle.directions[0] - along, math.pi)) < 1e-9
+        assert np.diff(saddle.directions) == pytest.approx([math.pi / 2] * 3)
 
 
 class TestIntegralModeTrace:
@@ -372,6 +386,22 @@ class TestIntegralModeTrace:
         # gradient of Re int f ds is conj(f)
         assert abs((v1 - v0) / h - w.real) < 1e-4
         assert abs((v2 - v0) / h - (-w.imag)) < 1e-4
+
+
+class TestIntegralWithoutBasepoint:
+    """A general schedule's system has no basepoint unless one is given:
+    level traces anchor at their seed, and only harmonic values need one."""
+
+    def test_trace_from_seed(self):
+        sys_ = make_harmonic_system(ND3)
+        assert sys_.mode == "integral" and sys_.basepoint is None
+        curve = trace_level_curve(sys_, (1, 2), -0.5 + 0.8j, step=0.02, max_points=20)
+        assert len(curve) == 41 and curve.critical_points == ()
+        assert np.max(np.abs(curve.residuals)) < potential.TRACE_RESIDUAL_TOL
+
+    def test_harmonic_value_needs_basepoint(self):
+        with pytest.raises(InvalidInputError, match="basepoint"):
+            harmonic_value_by_integration(make_harmonic_system(ND3), 1, 1 + 1j)
 
 
 def _reference_integrate(tracker, a, b, ws):

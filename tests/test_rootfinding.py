@@ -86,6 +86,17 @@ class TestConversions:
             z = to_big_complex(complex(1 / 3, 0.1), 64)
         assert (z.real, z.imag) == (mp.mpf(1 / 3), mp.mpf(0.1))
 
+    @pytest.mark.parametrize("prec", [0, -3])
+    def test_precision_below_one_bit_rejected(self, prec):
+        # mpmath's division loops forever at 0 bits and rounds nonsense below
+        for x in (CR(F(1, 3), 1), F(1, 3), 1.5, mp.mpc(1, 2)):
+            with pytest.raises(InvalidInputError, match="at least 1 bit"):
+                to_big_complex(x, prec)
+        # the second list has its only root at the origin and rounds nothing
+        for coeffs in ([CR(1), CR(1)], [CR(0), CR(1)]):
+            with pytest.raises(InvalidInputError, match="at least 1 bit"):
+                solve_all_roots(coeffs, prec)
+
 
 class TestFindRoots:
     def test_quadratic_factorization(self):

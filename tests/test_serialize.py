@@ -203,6 +203,15 @@ class TestHeaderFields:
                            match=f"roots.txt, line {line}: malformed header, {message}"):
             serialize.read_roots(path)
 
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_roots_precision_below_one_bit_rejected(self, tmp_path, bits):
+        # read at -5 bits, the root 1.5 came back as 2.0
+        path = tmp_path / "roots.txt"
+        path.write_text(f"# n = 1 count = 1 precision_bits = {bits}\n1.5 0 1e-40\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"roots.txt, line 1: malformed header, precision_bits = '{bits}'"):
+            serialize.read_roots(path)
+
     def test_fields_found_by_key(self, tmp_path):
         # a field is the token after "=", on whichever # line it stands
         path = tmp_path / "roots.txt"
