@@ -30,6 +30,7 @@ first two as ``closed`` and the third as ``hit_cut``.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,15 @@ SINGULAR_GUARD = 1e-13
 # a region grid is labelled in blocks of rows holding about 1 MiB of complex
 # cell centres, so its peak memory does not grow with the resolution squared
 REGION_BLOCK_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    """A critical point of a pair difference and the four directions
+    (radians) in which its level set leaves it."""
+
+    location: complex
+    directions: tuple
 
 
 @dataclass(frozen=True)
@@ -170,15 +180,24 @@ class HarmonicSystem:
         return self.shifted(i, z) - self.shifted(j, z)
 
     def critical_points(self, pair):
-        """The known critical points of the pair difference: the tracer's saddles.
+        """The known critical points of the pair difference, the tracer's
+        saddles, each with its four outgoing level-set directions.
 
         In closed mode f_1 - f_i vanishes exactly at the branch point p_i;
         differences of two rational branches i, j >= 2 have constant
         numerator and no finite critical points.  Integral mode lists none.
+        The directions at p are (pi/2 - arg F'')/2 + k pi/2 for the second
+        derivative F'' = f_i' - f_j' at p, where f_1' = -1/(z-1)^2 and
+        f_i' = alpha_i/z^2.
         """
-        if self.mode == "closed" and min(pair) == 1 < max(pair):
-            return [self.branch_point_list[max(pair) - 2]]
-        return []
+        if not (self.mode == "closed" and min(pair) == 1 < max(pair)):
+            return []
+        p = self.branch_point_list[max(pair) - 2]
+        alphas = self.schedule.alphas
+        di, dj = (-1.0 / (p - 1.0) ** 2 if k == 1 else complex(alphas[k - 1]) / p ** 2
+                  for k in pair)
+        base = (math.pi / 2 - cmath.phase(di - dj)) / 2
+        return [CriticalPoint(p, tuple(base + k * math.pi / 2 for k in range(4)))]
 
 
 def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> HarmonicSystem:
@@ -436,36 +455,21 @@ class LevelCurve:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    location: complex
-    directions: tuple
-
-
 class _ClosedLevelFunction:
     """F = H~_i - H~_j from the closed forms, with its gradient as the complex
-    number conj(f_i - f_j) and its second derivative f_i' - f_j', where
-    f_1' = -1/(z-1)^2 and f_i' = alpha_i/z^2."""
+    number conj(f_i - f_j)."""
 
     def __init__(self, sys, pair):
         self.sys = sys
         self.pair = pair
 
-    def value(self, z):
-        return float(self.sys.difference(self.pair, z))
-
-    def gradient(self, z):
+    def at(self, z):
+        """(F, grad F) at z."""
         i, j = self.pair
-        return complex(np.conjugate(self.sys.branch_value(i, z) - self.sys.branch_value(j, z)))
+        return (float(self.sys.difference(self.pair, z)),
+                complex(np.conjugate(self.sys.branch_value(i, z) - self.sys.branch_value(j, z))))
 
-    def second(self, z):
-        z = complex(z)
-        alphas = self.sys.schedule.alphas
-        di, dj = (-1.0 / (z - 1.0) ** 2 if k == 1 else complex(alphas[k - 1]) / z ** 2
-                  for k in self.pair)
-        return di - dj
-
-    def commit(self, z):
+    def commit(self):
         pass
 
 
@@ -474,9 +478,10 @@ class _IntegralLevelFunction:
 
     The anchor starts at the seed with F = 0 (the traced curve is the level
     set through the seed).  Queries integrate from the anchor along a
-    straight segment with branch tracking; ``commit`` moves the anchor to an
-    accepted trace point so error does not accumulate over rejected
-    corrector excursions.
+    straight segment with branch tracking, and the gradient is
+    conj(w_i - w_j) from the branch values they end with; ``commit`` moves
+    the anchor to the last point queried, an accepted trace point, so error
+    does not accumulate over rejected corrector excursions.
     """
 
     def __init__(self, sys, pair, seed):
@@ -486,7 +491,8 @@ class _IntegralLevelFunction:
         self.f_anchor = 0.0
         self._last = None
 
-    def value(self, z):
+    def at(self, z):
+        """(F, grad F) at z."""
         z = complex(z)
         if z == self.anchor:
             f, wi, wj = self.f_anchor, self.wi, self.wj
@@ -494,26 +500,10 @@ class _IntegralLevelFunction:
             (ii, ij), (wi, wj) = _integrate(self.tracker.track, self.anchor, z, (self.wi, self.wj))
             f = float(self.f_anchor + (ii - ij).real)
         self._last = (z, f, wi, wj)
-        return f
+        return f, complex(np.conjugate(wi - wj))
 
-    def _state(self, z):
-        """(z, F, w_i, w_j) at z, from the last query when it was at z."""
-        if self._last is None or self._last[0] != complex(z):
-            self.value(z)
-        return self._last
-
-    def gradient(self, z):
-        _, _, wi, wj = self._state(z)
-        return complex(np.conjugate(wi - wj))
-
-    def commit(self, z):
-        self.anchor, self.f_anchor, self.wi, self.wj = self._state(z)
-
-
-def _saddle_directions(g2: complex):
-    """The four level-set directions at a critical point with second derivative g2."""
-    base = (math.pi / 2 - cmath.phase(g2)) / 2
-    return tuple(base + k * math.pi / 2 for k in range(4))
+    def commit(self):
+        self.anchor, self.f_anchor, self.wi, self.wj = self._last
 
 
 def _crosses_cut(a: complex, b: complex) -> bool:
@@ -528,21 +518,18 @@ def _crosses_cut(a: complex, b: complex) -> bool:
 
 
 def _newton_correct(fun, z):
-    """Newton steps onto fun = 0; (z, f), with z None if |f| stays above
-    TRACE_RESIDUAL_TOL after 40 steps or the gradient vanishes."""
-    for _ in range(40):
-        f = fun.value(z)
+    """Newton steps onto F = 0; (z, F, grad F) at the last point queried,
+    with z None if |F| stays above TRACE_RESIDUAL_TOL after 40 steps or the
+    gradient vanishes."""
+    for _ in range(41):
+        f, g = fun.at(z)
         if abs(f) < TRACE_RESIDUAL_TOL:
-            return z, f
-        g = fun.gradient(z)
+            return z, f, g
         g2 = abs(g) ** 2
         if g2 == 0:
-            return None, f
+            break
         z = z - f * g / g2
-    f = fun.value(z)
-    if abs(f) < TRACE_RESIDUAL_TOL:
-        return z, f
-    return None, f
+    return None, f, g
 
 
 def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
@@ -550,7 +537,8 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
     """Predictor-corrector trace of the implicit curve H~_i - H~_j = 0.
 
     The seed is first Newton-corrected onto the curve; the trace then
-    marches forward and, unless the forward march closes, backward.  Each
+    marches from it forward and, unless the forward march closes, backward
+    from it again.  Each
     march stops for one reason: "closed" on returning within step/2 of the
     start, "saddle" within ``step`` of a point of ``sys.critical_points``
     (reported at that point, with its four outgoing directions), "cut" at
@@ -580,24 +568,23 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
         fun = _IntegralLevelFunction(sys, pair, seed)
     known_criticals = sys.critical_points(pair)
 
-    z0, f0 = _newton_correct(fun, complex(seed))
+    z0, f0, g0 = _newton_correct(fun, complex(seed))
     if z0 is None:
         raise InvalidInputError(
             f"seed {seed} could not be corrected onto the level curve "
             f"(residual {f0:.3e}); seed closer to the curve"
         )
-    fun.commit(z0)
-    at_seed = next((c for c in known_criticals if abs(z0 - c) < step / 4096), None)
+    fun.commit()
+    at_seed = next((c for c in known_criticals if abs(z0 - c.location) < step / 4096), None)
     if at_seed is not None:
-        raise SaddleAtSeedError(at_seed, _saddle_directions(fun.second(at_seed)))
+        raise SaddleAtSeedError(at_seed.location, at_seed.directions)
 
-    g0 = fun.gradient(z0)
-
-    def march(direction_sign):
-        """(points, residuals, criticals, stop) of one march from z0."""
+    def march(fun, direction_sign):
+        """(points, residuals, saddle, stop) of one march from z0, with
+        ``fun`` anchored at z0; saddle is the critical point it stopped at,
+        or None."""
         pts = []
         res = []
-        criticals = []
         z = z0
         tangent = direction_sign * 1j * g0 / abs(g0)
         h = step
@@ -608,9 +595,9 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
             while True:
                 zp = z + h * tangent
                 if _crosses_cut(z, zp):
-                    return pts, res, criticals, "cut"
+                    return pts, res, None, "cut"
                 try:
-                    zc, fc = _newton_correct(fun, zp)
+                    zc, fc, g = _newton_correct(fun, zp)
                 except BranchCollisionError:
                     # the curve runs into a branch collision (integral mode);
                     # shorten, then give up on this direction
@@ -618,9 +605,8 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if zc is None or abs(zc - z) > 3 * h:
                     h /= 2
                     if h < step / 4096:
-                        return pts, res, criticals, "end"
+                        return pts, res, None, "end"
                     continue
-                g = fun.gradient(zc)
                 t_new = 1j * g / abs(g)
                 if (t_new.conjugate() * tangent).real < 0:
                     t_new = -t_new
@@ -628,14 +614,13 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
                 if turn > 0.45 and h > step / 4096:
                     h /= 2
                     continue
-                saddle = next((c for c in known_criticals if abs(zc - c) < step), None)
+                saddle = next((c for c in known_criticals if abs(zc - c.location) < step), None)
                 break
             if saddle is not None:
-                criticals.append(CriticalPoint(saddle, _saddle_directions(fun.second(saddle))))
-                pts.append(saddle)
-                res.append(fun.value(saddle))
-                return pts, res, criticals, "saddle"
-            fun.commit(zc)
+                pts.append(saddle.location)
+                res.append(fun.at(saddle.location)[0])
+                return pts, res, saddle, "saddle"
+            fun.commit()
             pts.append(zc)
             res.append(fc)
             z = zc
@@ -643,23 +628,23 @@ def trace_level_curve(sys: HarmonicSystem, pair, seed, step: float = 0.005,
             if turn < 0.1 and h < step:
                 h = min(step, 2 * h)
             if len(pts) >= 10 and abs(z - z0) < step / 2:
-                return pts, res, criticals, "closed"
+                return pts, res, None, "closed"
             if abs(z) > 1e6:
                 break
-        return pts, res, criticals, "end"
+        return pts, res, None, "end"
 
-    fw_pts, fw_res, fw_crit, fw_stop = march(+1)
-    bw_pts, bw_res, bw_crit, bw_stop = march(-1) if fw_stop != "closed" else ([], [], [], None)
+    # each march starts from the seed's anchor, so the forward one gets a copy
+    fw_pts, fw_res, fw_saddle, fw_stop = march(copy.copy(fun), +1)
+    bw_pts, bw_res, bw_saddle, bw_stop = (
+        march(fun, -1) if fw_stop != "closed" else ([], [], None, None))
     # both marches ending at the same saddle close the loop there
-    closed = "closed" in (fw_stop, bw_stop) or (
-        fw_stop == bw_stop == "saddle"
-        and abs(fw_crit[0].location - bw_crit[0].location) < 2 * step)
+    closed = "closed" in (fw_stop, bw_stop) or (fw_saddle is not None and fw_saddle == bw_saddle)
     return LevelCurve(
         pair=tuple(pair),
         points=np.array(bw_pts[::-1] + [z0] + fw_pts, dtype=complex),
         residuals=np.array(bw_res[::-1] + [f0] + fw_res, dtype=float),
         closed=closed,
-        critical_points=tuple(bw_crit + fw_crit),
+        critical_points=tuple(c for c in (bw_saddle, fw_saddle) if c is not None),
         hit_cut="cut" in (fw_stop, bw_stop),
     )
 
@@ -671,21 +656,20 @@ def level_seed_on_ray(sys: HarmonicSystem, pair, origin, direction) -> complex:
     logarithmic singularity of one branch so F covers both signs.
     """
     sys._require_closed("ray seeding")
-    fun = _ClosedLevelFunction(sys, pair)
     d = complex(direction)
     d /= abs(d)
     o = complex(origin)
     lo, hi = 1e-9, 64.0
-    flo = fun.value(o + lo * d)
-    fhi = fun.value(o + hi * d)
+    flo = float(sys.difference(pair, o + lo * d))
+    fhi = float(sys.difference(pair, o + hi * d))
     while flo * fhi > 0 and hi < 1e9:
         hi *= 2
-        fhi = fun.value(o + hi * d)
+        fhi = float(sys.difference(pair, o + hi * d))
     if flo * fhi > 0:
         raise InvalidInputError("no sign change of the level function along the ray")
     # bisect in the geometric mean until the bracket holds no float between
     while lo < (mid := math.sqrt(lo * hi)) < hi:
-        fm = fun.value(o + mid * d)
+        fm = float(sys.difference(pair, o + mid * d))
         if flo * fm <= 0:
             hi = mid
         else:
@@ -702,11 +686,7 @@ def trace_conjectured_loop(sys: HarmonicSystem, i: int = 2, step: float = 0.004)
     closes.
     """
     sys._require_closed("the conjectured loop")
-    pi = sys.branch_point_list[i - 2]
-    direction = 1 - pi
-    if abs(direction) < 1e-12:
-        direction = 1.0
-    seed = level_seed_on_ray(sys, (1, i), 1.0, direction)
+    seed = level_seed_on_ray(sys, (1, i), 1.0, 1 - sys.branch_point_list[i - 2])
     return trace_level_curve(sys, (1, i), seed, step=step)
 
 

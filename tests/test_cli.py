@@ -163,6 +163,25 @@ class TestRootsAndVerify:
         assert "Re alpha_2 = -1" in capsys.readouterr().err
         assert not (out / "report_distance.json").exists()
 
+    def test_verify_on_an_open_curve(self, sched_file, tmp_path, capsys):
+        # the left lobe of the K1 lemniscate, traced from -0.2 + 0.05i, runs
+        # from the saddle 1/2 to the cut: distances take the open polyline,
+        # and side labeling refuses it
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", "10,20", "--out", out) == 0
+        assert run("levels", "--schedule", sched_file, "--pair", "1,2", "--seed=-0.2,0.05",
+                   "--out", out) == 0
+        curve = serialize.read_level_curve(out / "level_1_2.csv")
+        assert len(curve) == 232 and curve.hit_cut and not curve.closed
+        assert run("verify", "--schedule", sched_file, "--n-list", "10,20",
+                   "--experiments", "distance", "--out", out) == 0
+        assert (out / "report_distance.json").exists()
+        capsys.readouterr()
+        assert run("verify", "--schedule", sched_file, "--n-list", "10,20",
+                   "--experiments", "convergence", "--out", out) == 2
+        assert "convergence labeling needs a closed loop" in capsys.readouterr().err
+        assert not (out / "report_convergence.json").exists()
+
     @pytest.mark.parametrize("point", ["2,x", "2", "2,0,1"])
     def test_verify_malformed_test_point_exit_two(self, sched_file, tmp_path, point):
         code = run("verify", "--schedule", sched_file, "--n-list", "4,8",

@@ -64,6 +64,18 @@ class TestGeometry:
         d = points_to_polyline_distance(np.array([0j]), loop.points, closed=True)
         assert abs(d[0] - 1.0) < 1e-14
 
+    def test_distance_to_open_polyline(self):
+        # three sides of the square; 1.2 + 0.1i lies nearest to the missing
+        # side from 1 - i to 1 + i, which an open polyline does not have
+        poly = square_loop().points
+        pts = np.array([1.2 + 0.1j, 0.1 - 1.5j, -1.3 + 0.2j, 0j, 2 - 2j])
+        t = np.linspace(0, 1, 200001)
+        dense = np.concatenate([a + t * (b - a) for a, b in zip(poly[:-1], poly[1:])])
+        brute = [np.min(np.abs(z - dense)) for z in pts]
+        d = points_to_polyline_distance(pts, poly, closed=False)
+        assert d == pytest.approx(brute, abs=1e-5)
+        assert d[0] > points_to_polyline_distance(pts[:1], poly, closed=True)[0] + 0.5
+
     def test_winding(self):
         loop = square_loop()
         assert winding_number(loop.points, 0j) in (-1, 1)

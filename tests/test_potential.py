@@ -201,6 +201,20 @@ class TestTrace:
         assert err.value.directions == pytest.approx(
             tuple(-math.pi / 4 + k * math.pi / 2 for k in range(4)))
 
+    @pytest.mark.parametrize("pair, sign", [((1, 2), -1), ((2, 1), 1)])
+    def test_critical_point_directions(self, sys_conj, pair, sign):
+        # F'' = f_i' - f_j' at p = alpha/(1 + alpha) is -(1 + alpha)^3/alpha for
+        # the pair (1, 2) and its negative for (2, 1); the level set
+        # Re(F'' (z - p)^2) = 0 leaves p where F'' e^(2i theta) is imaginary
+        (saddle,) = sys_conj.critical_points(pair)
+        assert saddle.location == sys_conj.branch_point_list[0]
+        alpha = complex(ALPHA)
+        g2 = sign * (1 + alpha) ** 3 / alpha
+        assert saddle.directions[0] == pytest.approx((math.pi / 2 - np.angle(g2)) / 2)
+        assert np.diff(saddle.directions) == pytest.approx([math.pi / 2] * 3)
+        assert np.abs((g2 * np.exp(2j * np.array(saddle.directions))).real) == pytest.approx(
+            [0] * 4, abs=1e-12 * abs(g2))
+
     def test_conjectured_loop_complex_alpha(self, sys_conj):
         curve = trace_conjectured_loop(sys_conj, 2, step=0.004)
         assert curve.closed
@@ -363,7 +377,26 @@ class TestIntegralModeTrace:
         fun = _IntegralLevelFunction(forced, (1, 2), seed)
         exact = float(sys_k1.difference((1, 2), z) - sys_k1.difference((1, 2), seed))
         # the sorted branches at the seed are (-1/z, 1/(z-1)): the sign flips
-        assert abs(fun.value(z) + exact) < 1e-11
+        assert abs(fun.at(z)[0] + exact) < 1e-11
+
+    def test_marches_both_ways_from_the_seed(self):
+        # alpha = 2 + i forced into integral mode: the backward march starts
+        # from the seed's anchor, not from where the forward march ended
+        closed = make_harmonic_system(ParameterSchedule.loop_2f1(CR(2, 1)))
+        seed = level_seed_on_ray(closed, (1, 2), 1.0, 1 - closed.branch_point_list[0])
+        curve = trace_level_curve(_forced_integral(closed), (1, 2), seed, step=0.01)
+        (k,) = np.flatnonzero(curve.points == seed)
+        assert 0 < k < len(curve) - 1
+        level = closed.difference((1, 2), curve.points) - closed.difference((1, 2), seed)
+        assert np.max(np.abs(level)) < 1e-11
+
+    def test_nd3_marches_reach_max_points_both_ways(self):
+        # from 1.5 + 0.5i each march takes its 50 points: the backward one is
+        # not left to integrate back from the far end of the forward one
+        curve = trace_level_curve(make_harmonic_system(ND3), (1, 2), 1.5 + 0.5j, step=0.02,
+                                  max_points=50)
+        assert len(curve) == 2 * 50 + 1
+        assert np.max(np.abs(curve.residuals)) < potential.TRACE_RESIDUAL_TOL
 
     def test_gradient_consistency(self):
         """Integral-mode H along a short segment matches its branch-value gradient."""
