@@ -20,6 +20,7 @@ The commands import the array modules (numpy, ``potential``,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -47,21 +48,35 @@ def _parse_list(value, sep, kind):
         raise InvalidInputError(f"{value!r} is not a {sep!r}-separated list of {kind.__name__}") from None
 
 
-def _parse_fields(value, sep, count, kind):
+def _parse_fields(name, value, sep, count, kind):
+    """The value of option ``name`` as ``count`` finite ``kind`` values."""
     fields = tuple(_parse_list(value, sep, kind))
-    if len(fields) != count:
-        raise InvalidInputError(f"expected {count} {sep!r}-separated {kind.__name__} values, "
-                                f"got {value!r}")
+    if len(fields) != count or not all(map(math.isfinite, fields)):
+        raise InvalidInputError(f"{name} {value!r} must be {count} {sep!r}-separated finite "
+                                f"{kind.__name__} values")
     return fields
 
 
 def _parse_box(ctx, param, value):
-    """The ``--box`` value as (xmin, xmax, ymin, ymax): finite, xmin < xmax
-    and ymin < ymax."""
-    box = _parse_fields(value, ":", 4, float)
-    if not (all(map(math.isfinite, box)) and box[0] < box[1] and box[2] < box[3]):
-        raise InvalidInputError(f"box {value!r} must be finite with xmin < xmax and ymin < ymax")
+    """The ``--box`` value as (xmin, xmax, ymin, ymax): xmin < xmax and ymin < ymax."""
+    box = _parse_fields("--box", value, ":", 4, float)
+    if not (box[0] < box[1] and box[2] < box[3]):
+        raise InvalidInputError(f"box {value!r} must have xmin < xmax and ymin < ymax")
     return box
+
+
+def _parse_n_list(ctx, param, value):
+    """The ``--n-list`` value as a list of integers, none repeated."""
+    ns = _parse_list(value, ",", int)
+    if not ns or len(set(ns)) < len(ns):
+        raise InvalidInputError(f"n-list {value!r} must name at least one n, each once")
+    return ns
+
+
+def _parse_positive(ctx, param, value):
+    if math.isfinite(value) and value > 0:
+        return value
+    raise InvalidInputError(f"{param.opts[0]} must be positive and finite, got {value}")
 
 
 def _existing(path, what, writer=None):
@@ -92,7 +107,6 @@ _data_option = click.option("--data", type=click.Path(), default=None,
 _box_option = click.option("--box", type=click.UNPROCESSED, default="-1:2:-1.5:1.5",
                            callback=_parse_box, help="xmin:xmax:ymin:ymax")
 _NLIST_DEFAULT = "10,25,50,100"
-_EXPERIMENTS = ("distance", "convergence", "kscore")
 
 
 @click.group(context_settings={"show_default": True})
@@ -129,22 +143,21 @@ def cmd_poly(schedule, n, out):
 @cli.command("roots")
 @_schedule_option
 @click.option("--n-list", "--n", "n_list", type=click.UNPROCESSED, default=_NLIST_DEFAULT,
-              help="comma-separated n ladder; --n is an alias")
+              callback=_parse_n_list, help="comma-separated n ladder; --n is an alias")
 @click.option("--precision", type=int, default=512)
 @_out_option
 def cmd_roots(schedule, n_list, precision, out):
     """Compute certified roots for each n on the ladder."""
     spath, sched = _resolve_schedule(schedule)
-    ns = _parse_list(n_list, ",", int)
     outdir = _outdir(out)
-    for nn in ns:
+    for nn in n_list:
         p = build_polynomial(sched, nn)
         m = find_roots(p, precision)
         serialize.write_roots(outdir / f"roots_n{nn}.txt", m, sched)
         click.echo(f"n={nn}: {m.n} roots at {m.precision_bits} bits, "
                    f"max residual {mp.nstr(max(m.residual_bounds), 3)}")
     serialize.write_manifest(outdir, "roots",
-                             {"n_list": ns, "precision": precision, "schedule": str(spath)},
+                             {"n_list": n_list, "precision": precision, "schedule": str(spath)},
                              {"schedule": spath})
 
 
@@ -187,10 +200,10 @@ def cmd_levels(schedule, pair, seed, step, out):
     sys_ = make_harmonic_system(sched)
     written = []
     if pair is not None:
-        i, j = _parse_fields(pair, ",", 2, int)
+        i, j = _parse_fields("--pair", pair, ",", 2, int)
         if seed is None:
             raise InvalidInputError("--pair needs an explicit --seed re,im")
-        start = complex(*_parse_fields(seed, ",", 2, float))
+        start = complex(*_parse_fields("--seed", seed, ",", 2, float))
         curve = trace_level_curve(sys_, (i, j), start, step=step)
         name = f"level_{i}_{j}.csv"
         serialize.write_level_curve(outdir / name, curve)
@@ -230,100 +243,46 @@ def cmd_regions(schedule, box, resolution, out):
 
 @cli.command("verify")
 @_schedule_option
-@click.option("--n-list", type=click.UNPROCESSED, default=_NLIST_DEFAULT, help="comma-separated n ladder")
+@click.option("--n-list", type=click.UNPROCESSED, default=_NLIST_DEFAULT, callback=_parse_n_list,
+              help="comma-separated n ladder")
 @_data_option
-@click.option("--experiments", type=click.UNPROCESSED, default=",".join(_EXPERIMENTS),
-              help="comma-separated experiment names")
+@click.option("--experiments", type=click.UNPROCESSED, default=None,
+              help="comma-separated experiment names  [default: all]")
 @click.option("--test-point", multiple=True,
-              help="convergence test point re,im (side labeled by winding number)")
-@click.option("--eps-cells", type=float, default=3.0)
+              help="Cauchy-transform test point re,im (side labeled by winding number)")
+@click.option("--eps-cells", type=float, default=3.0, callback=_parse_positive)
 @_out_option
 def cmd_verify(schedule, n_list, data, experiments, test_point, eps_cells, out):
-    """Run the clustering/convergence experiment reports from emitted files."""
-    from .experiments import (
-        cauchy_convergence,
-        halfplane_restriction,
-        k_set_score,
-        label_side,
-        zero_curve_distance,
-    )
+    """Run the experiment reports of ``experiments.EXPERIMENTS`` from emitted files."""
+    from .experiments import EXPERIMENTS
 
-    wanted = [e.strip() for e in _parse_list(experiments, ",", str) if e.strip()]
-    unknown = [e for e in wanted if e not in _EXPERIMENTS]
+    wanted = (list(EXPERIMENTS) if experiments is None else
+              [e.strip() for e in _parse_list(experiments, ",", str) if e.strip()])
+    unknown = [e for e in wanted if e not in EXPERIMENTS]
     if unknown:
-        raise InvalidInputError(f"unknown experiments {unknown}; choose from {', '.join(_EXPERIMENTS)}")
+        raise InvalidInputError(f"unknown experiments {unknown}; choose from {', '.join(EXPERIMENTS)}")
+    points = [complex(*_parse_fields("--test-point", tp, ",", 2, float)) for tp in test_point]
     spath, sched = _resolve_schedule(schedule)
-    ns = sorted(_parse_list(n_list, ",", int))
+    ns = sorted(n_list)
     outdir = _outdir(out)
     datadir = Path(data) if data is not None else outdir
-    zs = [complex(*_parse_fields(tp, ",", 2, float)) for tp in test_point] or [2.0 + 0j, 1.1 + 0j]
-    shash = serialize.schedule_hash(sched)
-    provenance = {"schedule": shash, "n_list": ns, "data_dir": str(datadir)}
-    roots_paths = {nn: _existing(datadir / f"roots_n{nn}.txt", "roots file", "roots") for nn in ns}
-    measures = {nn: serialize.read_roots(path) for nn, path in roots_paths.items()}
-    inputs = {"schedule": spath, **{f"roots_n{nn}": path for nn, path in roots_paths.items()}}
+    inputs = {"schedule": spath}
 
-    if "distance" in wanted or "convergence" in wanted:
-        level_path = _existing(datadir / "level_1_2.csv", "level file", "levels")
-        loop = serialize.read_level_curve(level_path)
-        inputs["level_1_2"] = level_path
+    @functools.cache
+    def read(name, parse, writer):
+        """The data file ``name`` parsed, read once and recorded for the manifest."""
+        inputs[Path(name).stem] = path = _existing(datadir / name, "data file", writer)
+        return parse(path)
 
-    if "distance" in wanted:
-        eta = float(sched.alphas[1].re)
-        if eta == -1:
-            raise InvalidInputError(
-                "distance: the loop-side cutoff Re z > eta/(eta + 1) is undefined "
-                "at eta = Re alpha_2 = -1")
-        cutoff = eta / (eta + 1)
-        rows = {}
-        rows_unrestricted = {}
-        for nn in ns:
-            rep = zero_curve_distance(measures[nn], loop,
-                                      halfplane_restriction(cutoff),
-                                      f"Re z > {cutoff:.6g}")
-            rows[str(nn)] = rep.summary()
-            rows_unrestricted[str(nn)] = zero_curve_distance(measures[nn], loop).summary()
-        maxes = [rows[str(nn)]["max"] for nn in ns]
-        payload = {
-            "provenance": provenance,
-            "pair": [1, 2],
-            "restricted": rows,
-            "unrestricted": rows_unrestricted,
-            "max_decreasing": all(a > b for a, b in zip(maxes, maxes[1:])),
-        }
-        serialize.write_report(outdir / "report_distance.json", payload)
-        click.echo(f"distance: max over n {dict(zip(map(str, ns), maxes))}")
-
-    if "convergence" in wanted:
-        if not loop.closed:
-            raise InvalidInputError("convergence labeling needs a closed loop")
-        pts = [(z, label_side(loop, z)) for z in zs]
-        try:
-            report = cauchy_convergence(sched, ns, pts, measures=measures)
-        except InvalidInputError as exc:
-            # branch designation only exists for the two-slope degenerate
-            # family; record the skip rather than failing the whole run
-            serialize.write_report(outdir / "report_convergence.json",
-                                   {"provenance": provenance, "skipped": str(exc)})
-            click.echo(f"convergence skipped: {exc}")
-        else:
-            payload = {"provenance": provenance, **report.summary()}
-            serialize.write_report(outdir / "report_convergence.json", payload)
-            click.echo(f"convergence monotone: {report.monotone}")
-
-    if "kscore" in wanted:
-        regions_path = _existing(datadir / "regions.txt", "region file", "regions")
-        grid = serialize.read_region_grid(regions_path)
-        inputs["regions"] = regions_path
-        score = k_set_score(measures[max(ns)], grid, eps_cells * grid.cell_diagonal)
-        payload = {"provenance": provenance, "n": max(ns), **score.summary()}
-        serialize.write_report(outdir / "report_kscore.json", payload)
-        click.echo(f"kscore: fraction {score.fraction_on_k:.3f} "
-                   f"(null {score.null_fraction:.3f}, ratio {score.ratio_over_null:.1f})")
-
-    serialize.write_manifest(outdir, "verify",
-                             {"n_list": ns, "experiments": wanted, "schedule": str(spath)},
-                             inputs)
+    measures = {nn: read(f"roots_n{nn}.txt", serialize.read_roots, "roots") for nn in ns}
+    provenance = {"schedule": serialize.schedule_hash(sched), "n_list": ns, "data_dir": str(datadir)}
+    for name, experiment in EXPERIMENTS.items():
+        if name in wanted:
+            payload, line = experiment(sched, measures, read, {"test_points": points, "eps_cells": eps_cells})
+            serialize.write_report(outdir / f"report_{name}.json", {"provenance": provenance, **payload})
+            click.echo(line)
+    serialize.write_manifest(outdir, "verify", {"n_list": ns, "experiments": wanted,
+                                                "schedule": str(spath)}, inputs)
 
 
 @cli.command("plot")

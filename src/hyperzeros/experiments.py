@@ -1,9 +1,14 @@
-"""Quantitative clustering and convergence experiments.
+"""Quantitative clustering and convergence experiments, and the reports of ``verify``.
 
-Distances from computed zeros to traced level curves, convergence of the
-empirical Cauchy transform to the designated rational branch inside/outside
-a closed loop, and the fraction of zeros on the discrete singular set K
-compared against a uniform null model.
+``EXPERIMENTS`` lists the reports in run order, each a function (schedule,
+measures, data, options) -> (payload, summary line): ``measures`` maps each n,
+in increasing order, to its roots; ``data(name, parse, writer)`` reads a data
+file once per run; ``options`` holds ``test_points`` and ``eps_cells``.
+``distance`` measures the zeros' distances to the loop ``level_1_2.csv``;
+``convergence`` compares the empirical Cauchy transform with the designated
+rational branch inside/outside that loop, and outside the two-slope
+degenerate family records a skip and reads no file; ``kscore`` scores the
+zeros near the singular set K of ``regions.txt`` against a uniform null.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from . import serialize
 from .errors import InvalidInputError
 from .hyppoly import ParameterSchedule, build_polynomial
 from .potential import LevelCurve, RegionGrid
@@ -29,10 +35,7 @@ NULL_SAMPLES = 20000
 def points_to_polyline_distance(points: np.ndarray, polyline: np.ndarray,
                                 closed: bool = True) -> np.ndarray:
     """Min distance from each point to a polyline (segment projections)."""
-    a = polyline
-    b = np.roll(polyline, -1) if closed else polyline[1:]
-    if not closed:
-        a = polyline[:-1]
+    a, b = (polyline, np.roll(polyline, -1)) if closed else (polyline[:-1], polyline[1:])
     ab = b - a
     ab2 = np.abs(ab) ** 2
     ab2[ab2 == 0] = 1.0
@@ -54,7 +57,7 @@ def winding_number(polyline: np.ndarray, z: complex) -> int:
 def label_side(curve: LevelCurve, z: complex) -> str:
     """inside/outside by winding number of the traced closed loop."""
     if not curve.closed:
-        raise InvalidInputError("side labeling needs a closed loop")
+        raise InvalidInputError("convergence labeling needs a closed loop")
     return "inside" if winding_number(curve.points, z) != 0 else "outside"
 
 
@@ -105,11 +108,7 @@ def zero_curve_distance(measure: RootCountingMeasure, curve: LevelCurve,
     if len(curve.points) < 2:
         raise InvalidInputError("curve polyline is empty")
     roots = measure.as_complex_array()
-    if restriction is not None:
-        sel = np.array([bool(restriction(z)) for z in roots])
-        chosen = roots[sel]
-    else:
-        chosen = roots
+    chosen = roots if restriction is None else roots[[bool(restriction(z)) for z in roots]]
     d = points_to_polyline_distance(chosen, curve.points, closed=curve.closed)
     return DistanceReport(
         n=measure.n,
@@ -169,6 +168,13 @@ class ConvergenceReport:
         }
 
 
+def _designation_gap(schedule: ParameterSchedule):
+    """Why ``schedule`` has no inside/outside branch designation, or ''."""
+    if not schedule.is_degenerate:
+        return "branch designation inside/outside is defined for degenerate schedules"
+    return "" if len(schedule.alphas) == 2 else "inside-branch designation needs the two-slope family"
+
+
 def cauchy_convergence(schedule: ParameterSchedule, n_list, test_points,
                        precision_bits: int = DEFAULT_PRECISION,
                        measures: dict = None) -> ConvergenceReport:
@@ -180,12 +186,8 @@ def cauchy_convergence(schedule: ParameterSchedule, n_list, test_points,
     radius of a computed root are excluded with a note.  Pass ``measures``
     (n -> RootCountingMeasure) to reuse existing root computations.
     """
-    if not schedule.is_degenerate:
-        raise InvalidInputError(
-            "branch designation inside/outside is defined for degenerate schedules"
-        )
-    if len(schedule.alphas) != 2:
-        raise InvalidInputError("inside-branch designation needs the two-slope family")
+    if gap := _designation_gap(schedule):
+        raise InvalidInputError(gap)
     n_list = sorted(n_list)
     if len(n_list) < 2:
         raise InvalidInputError("need at least two n values to compare")
@@ -311,3 +313,41 @@ def _near_cells(points: np.ndarray, grid: RegionGrid, mask: np.ndarray,
             c = grid.xs[cx[k] + dx] + 1j * grid.ys[cy[k] + dy]
             near[k] |= np.abs(points[k] - c) <= epsilon
     return near
+
+
+def _distance(schedule, measures, data, options):
+    loop = data("level_1_2.csv", serialize.read_level_curve, "levels")
+    eta = float(schedule.alphas[1].re)
+    if eta == -1:
+        raise InvalidInputError("distance: the loop-side cutoff Re z > eta/(eta + 1) is undefined "
+                                "at eta = Re alpha_2 = -1")
+    cutoff = eta / (eta + 1)
+    rows = {str(n): zero_curve_distance(m, loop, halfplane_restriction(cutoff), f"Re z > {cutoff:.6g}")
+            .summary() for n, m in measures.items()}
+    maxes = [row["max"] for row in rows.values()]
+    return {
+        "pair": [1, 2],
+        "restricted": rows,
+        "unrestricted": {str(n): zero_curve_distance(m, loop).summary() for n, m in measures.items()},
+        "max_decreasing": all(a > b for a, b in zip(maxes, maxes[1:])),
+    }, f"distance: max over n {dict(zip(rows, maxes))}"
+
+
+def _convergence(schedule, measures, data, options):
+    if gap := _designation_gap(schedule):
+        return {"skipped": gap}, f"convergence skipped: {gap}"
+    loop = data("level_1_2.csv", serialize.read_level_curve, "levels")
+    points = [(z, label_side(loop, z)) for z in options["test_points"] or [2.0 + 0j, 1.1 + 0j]]
+    report = cauchy_convergence(schedule, list(measures), points, measures=measures)
+    return report.summary(), f"convergence monotone: {report.monotone}"
+
+
+def _kscore(schedule, measures, data, options):
+    grid = data("regions.txt", serialize.read_region_grid, "regions")
+    n = max(measures)
+    score = k_set_score(measures[n], grid, options["eps_cells"] * grid.cell_diagonal)
+    return {"n": n, **score.summary()}, (f"kscore: fraction {score.fraction_on_k:.3f} (null "
+                                         f"{score.null_fraction:.3f}, ratio {score.ratio_over_null:.1f})")
+
+
+EXPERIMENTS = {"distance": _distance, "convergence": _convergence, "kscore": _kscore}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ import mpmath as mp
 import pytest
 
 import hyperzeros
-from hyperzeros import serialize
+from hyperzeros import experiments, serialize
 from hyperzeros.cli import main
 from hyperzeros.errors import BranchCollisionError, NonConvergenceError
 from hyperzeros.exact import ComplexRational
@@ -413,6 +414,95 @@ class TestFailurePaths:
         report = json.loads((out / "report_convergence.json").read_text())
         assert set(report) == {"provenance", "skipped"} and report["skipped"]
         assert "convergence skipped: " in capsys.readouterr().out
+
+    def test_verify_convergence_with_one_n_exit_two(self, sched_file, tmp_path, capsys):
+        # only a schedule outside the two-slope family skips; one n is an input error
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", 4, "--precision", 128,
+                   "--out", out) == 0
+        assert run("levels", "--schedule", sched_file, "--step", 0.01, "--out", out) == 0
+        capsys.readouterr()
+        assert run("verify", "--schedule", sched_file, "--n-list", 4, "--experiments",
+                   "convergence", "--out", out) == 2
+        assert "need at least two n values to compare" in capsys.readouterr().err
+        assert not (out / "report_convergence.json").exists()
+
+    @pytest.mark.parametrize("command", ["roots", "verify"])
+    def test_repeated_n_exit_two(self, sched_file, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--schedule", sched_file, "--n-list", "4,8,4", "--out", out) == 2
+        assert "n-list '4,8,4' must name at least one n, each once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--test-point", "nan,0"), ("verify", "--test-point", "inf,0"),
+        ("verify", "--eps-cells", "nan"), ("verify", "--eps-cells", "inf"),
+        ("verify", "--eps-cells", "-1"), ("verify", "--eps-cells", "0"),
+        ("levels", "--pair", "1,2", "--seed", "nan,0"),
+    ], ids=["point-nan", "point-inf", "eps-nan", "eps-inf", "eps-negative", "eps-zero", "seed-nan"])
+    def test_non_finite_number_exit_two(self, sched_file, tmp_path, capsys, args):
+        # rejected as parsed: no data file is read
+        out = tmp_path / "out"
+        assert run(*args, "--schedule", sched_file, "--out", out) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestVerifyReports:
+    # SHA-256 of every report of a K1 and a FIG5 run, whose relative --out keeps
+    # data_dir the same on every run
+    REPORT_SHA256 = {
+        ("k1", "distance"): "50daf202bef320afe6e879f8fb8b6caf4869389f708a089cec4f7972bed05ad6",
+        ("k1", "convergence"): "9d583841b7bd2df35229dffc059ae1e592e550e62f3b8e7a7f51fc88af845139",
+        ("k1", "kscore"): "d2a36fc249621983a33b4d811cbab8a9a966e5bfa4b2ff3d473d455347790e69",
+        ("fig5", "distance"): "25af40d13e4db07a9f56adc647e3bfd9daf7239efbe58b0426305b79345701b4",
+        ("fig5", "convergence"): "a75bcd3d55708c53f1708cfb6030ac5c0ebbc3dd433db87cd375e82520640911",
+        ("fig5", "kscore"): "c48b5e2c4539f49c8d530a2457d56f012db79e407a147bf3af763d5530b176c7",
+    }
+
+    def test_reports_and_manifest_inputs_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for family, sched in (("k1", K1), ("fig5", FIG5)):
+            serialize.write_schedule(f"{family}.json", sched)
+            for args in (("roots", "--n-list", "4,8", "--precision", 128), ("levels", "--step", 0.01),
+                         ("regions", "--resolution", 80), ("verify", "--n-list", "4,8")):
+                assert run(*args, "--schedule", f"{family}.json", "--out", family) == 0
+            manifest = json.loads(Path(family, "manifest_verify.json").read_text())
+            assert set(manifest["input_hashes"]) == {"schedule", "roots_n4", "roots_n8",
+                                                     "level_1_2", "regions"}
+        assert {key: hashlib.sha256(Path(key[0], f"report_{key[1]}.json").read_bytes()).hexdigest()
+                for key in self.REPORT_SHA256} == self.REPORT_SHA256
+
+    def test_new_experiment_runs_without_cli_edit(self, sched_file, tmp_path, monkeypatch, capsys):
+        # an entry in EXPERIMENTS is a verify report; its data files are read once
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", "4,6", "--precision", 128,
+                   "--out", out) == 0
+        (out / "stub.txt").write_text("stub data\n")
+        reads = []
+
+        def parse(path):
+            reads.append(path)
+            return path.read_text()
+
+        def stub(schedule, measures, data, options):
+            assert data("stub.txt", parse, "stub") == data("stub.txt", parse, "stub")
+            return {"n": list(measures), "text": data("stub.txt", parse, "stub"),
+                    "eps_cells": options["eps_cells"]}, "stub: done"
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "stub", stub)
+        capsys.readouterr()
+        assert run("verify", "--schedule", sched_file, "--n-list", "6,4", "--experiments", "stub",
+                   "--eps-cells", 2, "--out", out) == 0
+        assert capsys.readouterr().out == "stub: done\n"
+        report = json.loads((out / "report_stub.json").read_text())
+        assert report == {"provenance": {"schedule": serialize.schedule_hash(K1), "n_list": [4, 6],
+                                         "data_dir": str(out)},
+                          "n": [4, 6], "text": "stub data\n", "eps_cells": 2.0}
+        assert reads == [out / "stub.txt"]
+        manifest = json.loads((out / "manifest_verify.json").read_text())
+        assert set(manifest["input_hashes"]) == {"schedule", "roots_n4", "roots_n6", "stub"}
+        assert manifest["config"]["experiments"] == ["stub"]
 
 
 class TestConfigPrecedence:
