@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of each of a fixed list of level-curve traces.
+"""Print a SHA-256 digest of each of a fixed list of level-curve traces and
+region grids.
 
 Usage, from the root of a checkout:
 
@@ -11,7 +12,10 @@ directions of every saddle, so two checkouts trace bit-identical curves
 exactly when ``diff`` finds no difference in their output.  The traces are
 the closed-mode conjectured loops of K1, alpha = 1/2 - i, alpha = 2 + i and
 FIG5, the same schedules forced into integral mode, and two traces of the
-general schedule ND3.  The package is imported from this checkout's ``src``.
+general schedule ND3.  Then a line ``TAG K_CELLS DIGEST`` for each of the
+1600 x 1600 region grids of K1 and FIG5 on the box (-1, 2, -1.5, 1.5)
+covers the grid's labels and K mask.  The package is imported from this
+checkout's ``src``.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from hyperzeros.exact import ComplexRational as CR  # noqa: E402
 from hyperzeros.hyppoly import ParameterSchedule  # noqa: E402
 from hyperzeros.potential import (  # noqa: E402
     HarmonicSystem,
+    classify_regions,
     level_seed_on_ray,
     make_harmonic_system,
     trace_conjectured_loop,
@@ -39,6 +44,7 @@ ALPHA21 = ParameterSchedule.loop_2f1(CR(2, 1))
 FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
 ND3 = ParameterSchedule((-1, CR(Fraction(1, 2), 1), 2), (0, 1, 0),
                         (1, CR(Fraction(3, 2), -1)), (0, 1))
+REGION_BOX = (-1.0, 2.0, -1.5, 1.5)
 
 
 def forced_integral(schedule):
@@ -88,9 +94,20 @@ def digest_line(tag, curve):
     return f"{tag} {len(curve)} {h.hexdigest()}"
 
 
+def region_line(tag, grid):
+    """``TAG K_CELLS DIGEST`` for one region grid."""
+    h = hashlib.sha256()
+    h.update(np.asarray(grid.labels, dtype=np.int16).tobytes())
+    h.update(np.asarray(grid.kmask, dtype=bool).tobytes())
+    return f"{tag} {int(grid.kmask.sum())} {h.hexdigest()}"
+
+
 def main():
     for tag, trace in traces():
         print(digest_line(tag, trace()), flush=True)
+    for tag, schedule in (("regions-K1", K1), ("regions-FIG5", FIG5)):
+        grid = classify_regions(make_harmonic_system(schedule), REGION_BOX, 1600)
+        print(region_line(tag, grid), flush=True)
     return 0
 
 

@@ -55,9 +55,12 @@ def winding_number(polyline: np.ndarray, z: complex) -> int:
 
 
 def label_side(curve: LevelCurve, z: complex) -> str:
-    """inside/outside by winding number of the traced closed loop."""
+    """inside/outside by winding number of the traced closed loop; a point
+    on the loop has neither side."""
     if not curve.closed:
         raise InvalidInputError("convergence labeling needs a closed loop")
+    if points_to_polyline_distance(np.array([z], dtype=complex), curve.points)[0] == 0:
+        raise InvalidInputError(f"test point {z} lies on the traced loop, so it has no side")
     return "inside" if winding_number(curve.points, z) != 0 else "outside"
 
 

@@ -94,6 +94,20 @@ class HarmonicSystem:
                 "(non-degenerate schedule)"
             )
 
+    def __post_init__(self):
+        # the closed forms' constants, in the float expressions of their
+        # formulas: log|1 - p| for H_1, and per branch i >= 2 the factors
+        # -Re alpha_i and Im alpha_i of log|z| and Arg z, the terms
+        # Re alpha_i log|p| and Im alpha_i Arg p, and the numerator -alpha_i
+        # of f_i
+        if self.mode == "closed":
+            p = self.basepoint
+            terms = [math.log(abs(1 - p))]
+            for al in map(complex, self.schedule.alphas[1:]):
+                terms.append((-al.real, al.imag, al.real * math.log(abs(p)),
+                              al.imag * cmath.phase(p), -al))
+            object.__setattr__(self, "_terms", terms)
+
     def harmonic(self, i: int, z):
         """H_i(z) from the closed forms (degenerate mode only); i is 1-based.
 
@@ -101,83 +115,67 @@ class HarmonicSystem:
         H_i(z) = -ax log|z| + ay Arg z + ax log|p| - ay Arg p.
         Accepts scalars or numpy arrays.
         """
-        return self._evaluate(i, z, shift=False)
+        return self._public(z, (i,), shift=False)[0]
 
     def shifted(self, i: int, z):
         """H~_i = H_i + C_i (C_1 = 0)."""
-        return self._evaluate(i, z, shift=True)
-
-    def shifted_stack(self, z) -> np.ndarray:
-        """H~_1(z), ..., H~_A(z) stacked along a new first axis, with
-        non-finite values taken as -inf so they never achieve the maximum.
-
-        The singular check, log|z| and Arg z run once for all branches, and
-        each branch is written into one preallocated array, so a region grid
-        holds one copy of the stack.
-        """
-        z = self._checked(z)
-        stack = np.empty((self.num_branches,) + z.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            polar = (np.log(np.abs(z)), np.angle(z))
-            for i in range(1, self.num_branches + 1):
-                stack[i - 1] = self._closed_form(i, z, shift=True, polar=polar)
-        stack[~np.isfinite(stack)] = -np.inf
-        return stack
-
-    def _checked(self, z) -> np.ndarray:
-        """z as a complex array, in closed mode and away from 0 and 1."""
-        self._require_closed("closed-form harmonic values")
-        z = np.asarray(z, dtype=complex)
-        self._check_singular(z)
-        return z
-
-    def _evaluate(self, i: int, z, shift: bool):
-        z = self._checked(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._closed_form(i, z, shift)
-        return out if out.shape else float(out)
-
-    def _closed_form(self, i: int, z: np.ndarray, shift: bool, polar=None):
-        """H_i at the checked array z, plus C_i when ``shift``; ``polar`` is
-        (log|z|, Arg z) when the caller has them already.  The terms are
-        summed left to right into one array, so a grid holds one temporary
-        row."""
-        p = self.basepoint
-        if i == 1:
-            out = np.log(np.abs(1 - z))
-            out -= math.log(abs(1 - p))
-        else:
-            log_r, arg = polar if polar is not None else (np.log(np.abs(z)), np.angle(z))
-            al = complex(self.schedule.alphas[i - 1])
-            out = -al.real * log_r
-            out += al.imag * arg
-            out += al.real * math.log(abs(p))
-            out -= al.imag * cmath.phase(p)
-        if shift:
-            out += self.offsets[i - 1]
-        return out
-
-    def _check_singular(self, z):
-        bad = np.minimum(np.abs(np.asarray(z) - 1.0), np.abs(np.asarray(z))) < SINGULAR_GUARD
-        if np.any(bad):
-            raise InvalidInputError(
-                "harmonic branch potentials have logarithmic singularities at 0 and 1"
-            )
-
-    def branch_value(self, i: int, z):
-        """The rational branch f_i at z (closed mode): 1/(z-1) or -alpha_i/z."""
-        self._require_closed("closed-form branch values")
-        z = np.asarray(z, dtype=complex)
-        if i == 1:
-            out = 1.0 / (z - 1.0)
-        else:
-            out = -complex(self.schedule.alphas[i - 1]) / z
-        return out if out.shape else complex(out)
+        return self._public(z, (i,))[0]
 
     def difference(self, pair, z):
         """H~_i(z) - H~_j(z) for the pair (i, j)."""
-        i, j = pair
-        return self.shifted(i, z) - self.shifted(j, z)
+        hi, hj = self._public(z, pair)
+        return hi - hj
+
+    def shifted_stack(self, z) -> np.ndarray:
+        """H~_1(z), ..., H~_A(z) stacked along a new first axis, with
+        non-finite values taken as -inf so they never achieve the maximum."""
+        stack = np.array(self._public(z, range(1, self.num_branches + 1)))
+        stack[~np.isfinite(stack)] = -np.inf
+        return stack
+
+    def _public(self, z, branches, shift=True):
+        """The kernel's values for any scalar or array z, a scalar as a float."""
+        self._require_closed("closed-form harmonic values")
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._kernel(z if z.shape else z[()], branches, shift=shift)
+        return [h if h.shape else float(h) for h in out]
+
+    def _kernel(self, z, branches, slopes=(), shift=True):
+        """The closed forms at z, a complex numpy scalar or array: H_i(z),
+        plus C_i when ``shift``, for each 1-based i of ``branches``, then the
+        branch value f_i(z), 1/(z-1) or -alpha_i/z, for each i of ``slopes``.
+
+        |z| and |1 - z| are taken once, for the singular check and the logs,
+        and log|z| and Arg z once for every i >= 2.  A scalar goes through
+        the numpy ufuncs an array does, in the same order, so its values
+        equal the array's at that element bit for bit.
+        """
+        r, r1 = np.abs(z), np.abs(z - 1.0)
+        near = (r < SINGULAR_GUARD) | (r1 < SINGULAR_GUARD)
+        if near.any() if near.shape else near:
+            raise InvalidInputError(
+                "harmonic branch potentials have logarithmic singularities at 0 and 1"
+            )
+        out = []
+        polar = None
+        for i in branches:
+            if i == 1:
+                h = np.log(r1)
+                h -= self._terms[0]
+            else:
+                if polar is None:
+                    polar = np.log(r), np.arctan2(z.imag, z.real)
+                neg_re, im, re_log_p, im_arg_p, _ = self._terms[i - 1]
+                h = neg_re * polar[0]
+                h += im * polar[1]
+                h += re_log_p
+                h -= im_arg_p
+            if shift:
+                h += self.offsets[i - 1]
+            out.append(h)
+        out += [1.0 / (z - 1.0) if i == 1 else self._terms[i - 1][4] / z for i in slopes]
+        return out
 
     def critical_points(self, pair):
         """The known critical points of the pair difference, the tracer's
@@ -415,11 +413,9 @@ def harmonic_value_by_integration(sys: HarmonicSystem, i: int, z, path=None) -> 
     pts = [sys.basepoint] + ([complex(w) for w in path] if path else []) + [complex(z)]
     if sys.mode == "closed":
         def branch_values(nodes, _ws):
-            nodes = np.array(nodes)
-            sys._check_singular(nodes)
-            return sys.branch_value(i, nodes)[:, None], True
+            return sys._kernel(np.array(nodes), (), (i,))[0][:, None], True
 
-        w = [sys.branch_value(i, sys.basepoint)]
+        w = sys._kernel(np.complex128(sys.basepoint), (), (i,))
     else:
         tracker = _BranchTracker(sys.curve)
         branch_values = tracker.track
@@ -464,10 +460,9 @@ class _ClosedLevelFunction:
         self.pair = pair
 
     def at(self, z):
-        """(F, grad F) at z."""
-        i, j = self.pair
-        return (float(self.sys.difference(self.pair, z)),
-                complex(np.conjugate(self.sys.branch_value(i, z) - self.sys.branch_value(j, z))))
+        """(F, grad F) at z, from one kernel call."""
+        hi, hj, fi, fj = self.sys._kernel(np.complex128(z), self.pair, self.pair)
+        return float(hi - hj), complex(fi - fj).conjugate()
 
     def commit(self):
         pass
@@ -773,7 +768,11 @@ class RegionGrid:
         return (X + 1j * Y)[self.kmask]
 
     def labels_present(self):
-        return sorted(int(v) for v in np.unique(self.labels))
+        # one comparison per value: np.unique sorts a copy of the grid, and
+        # np.bincount widens one to 64 bits
+        labels = self.labels
+        lo, hi = (int(labels.min()), int(labels.max())) if labels.size else (1, 0)
+        return [v for v in range(lo, hi + 1) if (labels == v).any()]
 
     def domain_mask(self) -> np.ndarray:
         """Approximation of the domain D: non-H_1 cells dilated by one cell."""
@@ -803,9 +802,26 @@ def classify_regions(sys: HarmonicSystem, box, resolution: int) -> RegionGrid:
     if res < 2:
         raise InvalidInputError("resolution must be at least 2")
     xs, ys = RegionGrid.cell_centres(box, res)
-    labels = np.empty((res, res), dtype=np.int16)
+    labels = np.ones((res, res), dtype=np.int16)
     rows = max(1, REGION_BLOCK_BYTES // (16 * res))
-    for r in range(0, res, rows):
-        block = sys.shifted_stack(xs + 1j * ys[r:r + rows, None])
-        labels[r:r + rows] = np.argmax(block, axis=0) + 1
+    branches = range(1, sys.num_branches + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, res, rows):
+            _label_block(sys._kernel(xs + 1j * ys[r:r + rows, None], branches),
+                         labels[r:r + rows])
     return RegionGrid.from_labels(box, res, labels)
+
+
+def _label_block(values, labels):
+    """Label each cell of a block of rows, its labels all 1, by the 1-based
+    index of the largest of the arrays ``values``, which are overwritten.  A
+    strictly greater value wins, so ties keep the lower index, as with
+    argmax; non-finite values count as -inf."""
+    for i, h in enumerate(values, 1):
+        if not np.isfinite(h.sum()):
+            h[~np.isfinite(h)] = -np.inf
+        if i == 1:
+            best = h
+        else:
+            labels[h > best] = i
+            np.maximum(best, h, out=best)

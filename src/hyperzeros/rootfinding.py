@@ -10,9 +10,12 @@ hundreds of orders of magnitude, so the target working precision carries
 the coefficient spread on top of the requested precision.  The iteration
 climbs a ladder of working precisions towards that target, rung 0
 starting from the seeds and each later rung from the previous rung's
-iterates, so the global convergence happens at low precision (the
-adaptive-precision Aberth of MPSolve; Bini & Robol, J. Comput. Appl.
-Math. 272, 2014).  The sweeps run in fixed point on
+iterates (the adaptive-precision Aberth of MPSolve; Bini & Robol, J.
+Comput. Appl. Math. 272, 2014).  The ladder does not keep the global
+convergence at low precision: for K1, alpha = 2 + i and FIG5 at n = 50 to
+200, rung 0's spread + 64 bits lie well below the roots' condition
+max log2(sum |c_k||z|^k / |p'(z)|), 2.8 to 4.2 bits per degree, so rung 0
+cannot resolve the roots and the global phase runs at the target width.  The sweeps run in fixed point on
 Gaussian integers (CPython ints) after a block exponent scales the
 coefficients, and stop at the noise floor of a floating-point evaluation
 at the rung's precision.  Only the pairwise Aberth sum is sized to the
@@ -631,9 +634,10 @@ def _solve_nonzero(c, precision_bits, seeds=None):
     prec + spread + 64 once that is within a factor of 3.  Every rung has
     the same sweep cap, 120 + 2 degree; a rung that reaches it hands its
     iterates on to the next rung, which finishes the work.  The target rung
-    always runs, below rung 0 if a low ``prec`` puts it there.  The global
-    convergence thus happens on the cheap low rungs and the target rung
-    only polishes.  The certificates run once, at the target rung; their
+    always runs, below rung 0 if a low ``prec`` puts it there.  For K1,
+    alpha = 2 + i and FIG5 at n = 50 to 200 rung 0 runs below the roots'
+    condition, so the global convergence happens at the target width, not
+    on the low rungs.  The certificates run once, at the target rung; their
     ``certify`` record carries the outcomes and the worst margins
     floor(log2(bound / threshold)) over the roots, ``residual_margin`` and
     ``forward_margin`` (``_margin_bits``).  A failure doubles ``prec`` and

@@ -427,6 +427,19 @@ class TestFailurePaths:
         assert "need at least two n values to compare" in capsys.readouterr().err
         assert not (out / "report_convergence.json").exists()
 
+    def test_verify_test_point_on_the_loop_exit_two(self, sched_file, tmp_path, capsys):
+        # 0.5 is the saddle of the K1 loop, the first point of level_1_2.csv
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", "4,8", "--precision", 128,
+                   "--out", out) == 0
+        assert run("levels", "--schedule", sched_file, "--out", out) == 0
+        assert serialize.read_level_curve(out / "level_1_2.csv").points[0] == 0.5
+        capsys.readouterr()
+        assert run("verify", "--schedule", sched_file, "--n-list", "4,8", "--experiments",
+                   "convergence", "--test-point", "0.5,0", "--out", out) == 2
+        assert "test point (0.5+0j) lies on the traced loop" in capsys.readouterr().err
+        assert not (out / "report_convergence.json").exists()
+
     @pytest.mark.parametrize("command", ["roots", "verify"])
     def test_repeated_n_exit_two(self, sched_file, tmp_path, capsys, command):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -85,6 +86,12 @@ class TestGeometry:
         loop = square_loop()
         assert label_side(loop, 0j) == "inside"
         assert label_side(loop, 3 + 0j) == "outside"
+
+    @pytest.mark.parametrize("z", [1 + 1j, -1 - 1j, 1 + 0.5j, 0.25 - 1j])
+    def test_point_on_the_loop_has_no_side(self, z):
+        # a vertex used to divide by zero in the winding number
+        with pytest.raises(InvalidInputError, match=re.escape(f"test point {z} lies on the traced loop")):
+            label_side(square_loop(), z)
 
     def test_densification_stability(self):
         # refining the polyline changes distances only by the segment sag

@@ -683,6 +683,49 @@ class TestRowBlocks:
         assert np.array_equal(grid.kmask, RegionGrid.from_labels(box, res, labels).kmask)
 
 
+class TestClosedKernel:
+    """A scalar query of the closed forms, the tracer's F and grad F, equals
+    the array evaluation at that element bit for bit."""
+
+    rng = np.random.default_rng(24)
+    POINTS = np.concatenate([
+        rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100),
+        # log-uniform radii about the singular points 0 and 1
+        np.exp(rng.uniform(-25, 12, 50) + 1j * rng.uniform(-math.pi, math.pi, 50)),
+        1 + np.exp(rng.uniform(-25, 2, 50) + 1j * rng.uniform(-math.pi, math.pi, 50)),
+        [-1 + 0j, complex(-1, -0.0), 1e6, 2 * SINGULAR_GUARD, -2j * SINGULAR_GUARD,
+         1 + 2 * SINGULAR_GUARD, 1 - 2j * SINGULAR_GUARD],
+    ])
+
+    @staticmethod
+    def bits(values):
+        return np.array(values).view(np.uint64)
+
+    @pytest.mark.parametrize("schedule", [K1, CONJ, ParameterSchedule.loop_2f1(CR(2, 1)), FIG5],
+                             ids=["K1", "alpha=1/2-i", "alpha=2+i", "FIG5"])
+    def test_scalar_equals_array_element(self, schedule):
+        sys_ = make_harmonic_system(schedule)
+        branches = range(1, sys_.num_branches + 1)
+        for i in branches:
+            assert np.array_equal(self.bits([sys_.shifted(i, z) for z in self.POINTS]),
+                                  self.bits(sys_.shifted(i, self.POINTS)))
+        for pair in ((i, j) for i in branches for j in branches if i != j):
+            fun = potential._ClosedLevelFunction(sys_, pair)
+            f, g = zip(*(fun.at(z) for z in self.POINTS))
+            hi, hj, fi, fj = sys_._kernel(self.POINTS, pair, pair)
+            assert np.array_equal(self.bits(f), self.bits(hi - hj))
+            assert np.array_equal(self.bits(f), self.bits(sys_.difference(pair, self.POINTS)))
+            assert np.array_equal(self.bits(g), self.bits(np.conjugate(fi - fj)))
+
+    @pytest.mark.parametrize("z", [0j, 0.5 * SINGULAR_GUARD, -0.5j * SINGULAR_GUARD, 1 + 0j,
+                                   1 + 0.5 * SINGULAR_GUARD, 1 + 0.5j * SINGULAR_GUARD])
+    def test_scalar_within_the_guard_rejected(self, sys_fig5, z):
+        with pytest.raises(InvalidInputError, match="logarithmic singularities"):
+            potential._ClosedLevelFunction(sys_fig5, (1, 2)).at(z)
+        with pytest.raises(InvalidInputError, match="logarithmic singularities"):
+            sys_fig5.difference((2, 3), z)
+
+
 class TestCutBarrier:
     def test_crossing_predicate(self):
         assert _crosses_cut(-1 + 0.1j, -1 - 0.1j)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperzeros.potential import make_harmonic_system, trace_level_curve
+from hyperzeros.potential import classify_regions, make_harmonic_system, trace_level_curve
 
 _SPEC = importlib.util.spec_from_file_location(
     "trace_digest", Path(__file__).resolve().parent.parent / "bench" / "trace_digest.py")
@@ -32,3 +32,13 @@ def test_changed_residual_changes_digest():
     moved = dataclasses.replace(curve, residuals=residuals)
     assert trace_digest.digest_line("short", moved) != trace_digest.digest_line("short", curve)
 
+
+
+def test_flipped_label_changes_region_line():
+    grid = classify_regions(make_harmonic_system(trace_digest.K1), trace_digest.REGION_BOX, 20)
+    labels = grid.labels.copy()
+    labels[10, 10] = 3 - labels[10, 10]
+    line = trace_digest.region_line("regions", grid)
+    assert line == trace_digest.region_line("regions", dataclasses.replace(grid))
+    assert line.split()[:2] == ["regions", str(int(grid.kmask.sum()))]
+    assert trace_digest.region_line("regions", dataclasses.replace(grid, labels=labels)) != line
