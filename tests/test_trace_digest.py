@@ -33,7 +33,6 @@ def test_changed_residual_changes_digest():
     assert trace_digest.digest_line("short", moved) != trace_digest.digest_line("short", curve)
 
 
-
 def test_flipped_label_changes_region_line():
     grid = classify_regions(make_harmonic_system(trace_digest.K1), trace_digest.REGION_BOX, 20)
     labels = grid.labels.copy()
