@@ -14,8 +14,10 @@ the closed-mode conjectured loops of K1, alpha = 1/2 - i, alpha = 2 + i and
 FIG5, the same schedules forced into integral mode, and two traces of the
 general schedule ND3.  Then a line ``TAG K_CELLS DIGEST`` for each of the
 1600 x 1600 region grids of K1 and FIG5 on the box (-1, 2, -1.5, 1.5)
-covers the grid's labels and K mask.  The package is imported from this
-checkout's ``src``.
+covers the grid's labels and K mask, and a line ``TAG VALUES DIGEST`` for
+each of the general schedules ND3 and ND4 covers the sign, mantissa and
+exponent of every ``branches_at`` value, at 128 bits, at 50 fixed points.
+The package is imported from this checkout's ``src``.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hyperzeros.algcurve import branches_at, build_curve  # noqa: E402
 from hyperzeros.exact import ComplexRational as CR  # noqa: E402
 from hyperzeros.hyppoly import ParameterSchedule  # noqa: E402
 from hyperzeros.potential import (  # noqa: E402
@@ -44,6 +47,8 @@ ALPHA21 = ParameterSchedule.loop_2f1(CR(2, 1))
 FIG5 = ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))
 ND3 = ParameterSchedule((-1, CR(Fraction(1, 2), 1), 2), (0, 1, 0),
                         (1, CR(Fraction(3, 2), -1)), (0, 1))
+ND4 = ParameterSchedule((-1, CR(Fraction(1, 2), 1), 2, CR(Fraction(3, 4), Fraction(-1, 2))),
+                        (0, 1, 0, 0), (1, CR(Fraction(3, 2), -1), 3), (0, 1, 2))
 REGION_BOX = (-1.0, 2.0, -1.5, 1.5)
 
 
@@ -102,12 +107,34 @@ def region_line(tag, grid):
     return f"{tag} {int(grid.kmask.sum())} {h.hexdigest()}"
 
 
+def branch_sample():
+    """50 fixed points of the square [-2, 2]^2, each at least 0.1 from 0 and 1."""
+    rng = np.random.default_rng(0)
+    points = []
+    while len(points) < 50:
+        z = complex(*rng.uniform(-2, 2, 2))
+        if abs(z) > 0.1 and abs(z - 1) > 0.1:
+            points.append(z)
+    return points
+
+
+def branches_line(tag, values):
+    """``TAG VALUES DIGEST`` for a list of mpmath complex values."""
+    h = hashlib.sha256(repr([w._mpc_ for w in values]).encode())
+    return f"{tag} {len(values)} {h.hexdigest()}"
+
+
 def main():
     for tag, trace in traces():
         print(digest_line(tag, trace()), flush=True)
     for tag, schedule in (("regions-K1", K1), ("regions-FIG5", FIG5)):
         grid = classify_regions(make_harmonic_system(schedule), REGION_BOX, 1600)
         print(region_line(tag, grid), flush=True)
+    points = branch_sample()
+    for tag, schedule in (("branches-ND3", ND3), ("branches-ND4", ND4)):
+        curve = build_curve(schedule)
+        values = [w for z in points for w in branches_at(curve, z, 128)]
+        print(branches_line(tag, values), flush=True)
     return 0
 
 

@@ -6,7 +6,9 @@ For a schedule with slopes alpha_1..alpha_A (numerator) and beta_1..beta_B
     A(z, w) = prod_i (z w + alpha_i) - w prod_j (z w + beta_j) = 0,
 
 kept both in structured form M(u) - w N(u) with u = z w (M, N univariate
-with elementary-symmetric coefficients) and fully expanded.  When the
+with elementary-symmetric coefficients) and fully expanded.  Branch values
+are solved in u, where z A(z, u/z) = z M(u) - u N(u) has coefficients
+linear in z (``u_coefficients``), and returned as w = u/z.  When the
 denominator slopes repeat the numerator ones (beta_i = alpha_{i+1}) the
 curve splits into rational branches w = 1/(z-1) and w = -alpha_i/z, which
 this module certifies by exact substitution.  For any other schedule the
@@ -44,22 +46,15 @@ from .hyppoly import ParameterSchedule
 from .rootfinding import checked_precision, solve_all_roots, to_big_complex
 
 
-def w_coefficients(m_coeffs, n_coeffs, z):
-    """Coefficients in w of A(z, w) = M(zw) - w N(zw): m_k z^k - n_(k-1) z^(k-1).
+def u_coefficients(m_coeffs, n_coeffs, z):
+    """Coefficients in u = z w of z A(z, u/z) = z M(u) - u N(u): z m_k - n_(k-1).
 
-    Works in whatever arithmetic ``z`` and the coefficient lists carry:
-    exact, mpmath or Python complex.  Each entry starts from 0, as a
-    zero-initialised accumulator would, so a -0.0 component of a float
-    product comes out as +0.0.
+    Each is linear in z, so this works unchanged in whatever arithmetic
+    ``z`` and the coefficient lists carry: exact, mpmath, Python complex, or
+    a numpy array of points, which gives one array per coefficient.  The
+    leading coefficient is z - 1 and the constant one z prod alpha_i.
     """
-    powers = [z ** k for k in range(len(m_coeffs))]
-    out = []
-    for k, m in enumerate(m_coeffs):
-        c = 0 + m * powers[k]
-        if k:
-            c = c - n_coeffs[k - 1] * powers[k - 1]
-        out.append(c)
-    return out
+    return [z * m_coeffs[0]] + [z * m - n for m, n in zip(m_coeffs[1:], n_coeffs)]
 
 
 @dataclass(frozen=True)
@@ -125,29 +120,31 @@ def build_curve(schedule: ParameterSchedule) -> BivariateCurve:
 def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
     """The A roots in w of A(z, .), sorted lexicographically by (re, im).
 
-    z must avoid 0 (all terms carry z w, the equation degenerates) and
-    should avoid 1 and branch points (there the returned list contains
-    coinciding values).  A precision below 1 bit raises InvalidInputError.
+    The roots u = z w of z M(u) - u N(u) are solved with 32 guard bits and
+    each w = u/z is rounded once to ``precision_bits``.  z must avoid 0 and
+    1, where the constant and the leading u-coefficient vanish, and should
+    avoid branch points, where values coincide.  A precision below 1 bit
+    raises InvalidInputError.
     """
     wp = checked_precision(precision_bits) + 32
     with mp.workprec(wp):
         zz = mp.mpc(z)
         if abs(zz) < mp.mpf(2) ** (-precision_bits // 2):
             raise InvalidInputError(
-                "branches_at rejected z = 0: the leading w-coefficient z^B (z-1) "
-                "vanishes and the curve degenerates there"
+                "branches_at rejected z = 0: the constant u-coefficient z prod alpha_i "
+                "vanishes there, and w = u/z is undefined"
             )
-        coeffs = w_coefficients(
+        coeffs = u_coefficients(
             [to_big_complex(c, wp) for c in curve.m_coeffs],
             [to_big_complex(c, wp) for c in curve.n_coeffs],
             zz,
         )
         if not coeffs[-1]:
-            raise InvalidInputError(
-                f"leading w-coefficient of A({z}, .) vanishes (z in {{0, 1}}?)"
-            )
-        roots, _, _, _, _ = solve_all_roots(coeffs, precision_bits)
-        return roots
+            raise InvalidInputError(f"leading u-coefficient z - 1 of A({z}, .) vanishes")
+        us, _, _, _, _ = solve_all_roots(coeffs, wp)
+    with mp.workprec(precision_bits):
+        ws = [u / zz for u in us]
+    return sorted(ws, key=lambda v: (v.real, v.imag))
 
 
 @dataclass(frozen=True)

@@ -309,21 +309,25 @@ def cmd_plot(data, n, box, with_regions, width, out):
                     if p.stem[len("roots_n"):].isdecimal()]
         chosen = max(numbered)[1] if numbered else None
     roots = serialize.read_roots(chosen).as_complex_array() if chosen else np.array([])
-    curves = [serialize.read_level_curve(f) for f in sorted(datadir.glob("level_*.csv"))]
+    level_files = sorted(datadir.glob("level_*.csv"))
+    curves = [serialize.read_level_curve(f) for f in level_files]
     bp_file = datadir / "branch_points.txt"
     bpts = serialize.read_point_list(bp_file) if bp_file.exists() else np.array([])
+    inputs = [f for f in [chosen, *level_files, bp_file] if f and f.exists()]
     grid = None
     if with_regions:
         regions_path = _existing(datadir / "regions.txt", "region file", "regions")
         grid = serialize.read_region_grid(regions_path)
+        inputs.append(regions_path)
     if not len(roots) and not curves and grid is None:
         raise FileNotFoundError(f"no data files found in {datadir}")
     figure_path = outdir / "figure.svg"
     compose_figure(figure_path, box, roots=roots, curves=curves, branch_pts=bpts,
                    grid=grid, width=width)
     serialize.write_manifest(outdir, "plot",
-                             {"box": list(box), "n": n, "with_regions": with_regions},
-                             {})
+                             {"box": list(box), "n": n, "with_regions": with_regions,
+                              "width": width},
+                             {f.stem: f for f in inputs})
     click.echo(f"wrote {figure_path}")
 
 

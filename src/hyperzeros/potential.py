@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algcurve import BivariateCurve, build_curve, w_coefficients
+from .algcurve import BivariateCurve, build_curve, u_coefficients
 from .errors import (
     BranchCollisionError,
     InvalidInputError,
@@ -213,6 +213,8 @@ def make_harmonic_system(schedule: ParameterSchedule, basepoint=None) -> Harmoni
             if a == -1:
                 raise InvalidInputError("alpha_i = -1 puts a branch point at infinity")
             bpts.append(a / (a + 1))
+        if basepoint is None and not bpts:
+            raise InvalidInputError("one slope has no branch point p_2 for the default basepoint")
         p = complex(basepoint) if basepoint is not None else bpts[0]
         if abs(p) < SINGULAR_GUARD or abs(p - 1) < SINGULAR_GUARD:
             raise InvalidInputError("basepoint must avoid the singular points 0 and 1")
@@ -243,36 +245,35 @@ class _BranchTracker:
     def branches(self, zs) -> np.ndarray:
         """The branch values at each point of ``zs``, one row per point.
 
-        The rows are the eigenvalues of the companion matrices that
-        ``np.roots`` builds for the w-polynomials A(z, .), solved in one
-        stacked call.  They end before the first point where the leading
-        coefficient vanishes, z is at the singular 0, or the matrix is not
-        finite; the caller raises there when it reaches that point.
+        The rows are w = u/z for the eigenvalues u of the companion matrices
+        that ``np.roots`` builds for the u-polynomials z M(u) - u N(u),
+        solved in one stacked call.  They end before the first point where
+        the leading coefficient z - 1 vanishes, z is at the singular 0, or
+        the matrix is not finite; the caller raises there when it reaches
+        that point.
         """
+        zs = np.asarray(zs, dtype=complex)
         degree = len(self.m) - 1
-        coeffs = np.array([w_coefficients(self.m, self.n, z)[::-1] for z in zs], dtype=complex)
+        coeffs = np.stack(u_coefficients(self.m, self.n, zs)[::-1], axis=1)
         mats = np.zeros((len(zs), degree, degree), dtype=complex)
         mats[:, range(1, degree), range(degree - 1)] = 1
         with np.errstate(divide="ignore", invalid="ignore"):
             mats[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         usable = (
             (np.abs(coeffs[:, 0]) != 0)
-            & (np.abs(np.asarray(zs)) >= SINGULAR_GUARD)
+            & (np.abs(zs) >= SINGULAR_GUARD)
             & np.isfinite(mats).all(axis=(1, 2))
         )
         stop = len(zs) if usable.all() else int(usable.argmin())
-        return np.linalg.eigvals(mats[:stop])
-
-    def all_branches(self, z: complex) -> np.ndarray:
-        ws = self.branches([z])
-        if not len(ws):
-            raise _degenerate(z)
-        return ws[0]
+        return np.linalg.eigvals(mats[:stop]) / zs[:stop, None]
 
     def select(self, z: complex, indices) -> list:
         """The branch values at z with the given 1-based indices, branches
         ordered lexicographically by (re, im)."""
-        ws = sorted(self.all_branches(z), key=lambda v: (v.real, v.imag))
+        ws = self.branches([z])
+        if not len(ws):
+            raise _degenerate(z)
+        ws = sorted(ws[0], key=lambda v: (v.real, v.imag))
         if not all(1 <= i <= len(ws) for i in indices):
             raise InvalidInputError(f"branch indices {tuple(indices)} out of range 1..{len(ws)}")
         return [ws[i - 1] for i in indices]

@@ -1,6 +1,8 @@
+import cmath
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,8 @@ from hyperzeros.algcurve import (
     branches_at,
     build_curve,
     discriminant_z,
+    u_coefficients,
     verify_rational_branches,
-    w_coefficients,
 )
 from hyperzeros.errors import InvalidInputError
 from hyperzeros.exact import (
@@ -26,6 +28,7 @@ from hyperzeros.exact import (
     poly_trim,
 )
 from hyperzeros.hyppoly import ParameterSchedule
+from hyperzeros.potential import _BranchTracker
 from hyperzeros.rootfinding import to_big_complex
 
 CR = ComplexRational
@@ -154,14 +157,20 @@ class TestBuildCurve:
         for z, w in pts:
             assert curve.evaluate(z, w) == curve.evaluate_structured(z, w)
 
-    def test_leading_w_coefficient_is_zB_times_z_minus_1(self):
+    def test_u_coefficients_exact_identities(self):
+        # z A(z, u/z) = z M(u) - u N(u), with u = z w
         for sched in (ParameterSchedule.loop_2f1(2),
-                      ParameterSchedule.diagonal((CR(0, 1), CR(1, 2)))):
+                      ParameterSchedule.diagonal((CR(0, 1), CR(1, 2))), ND3):
             curve = build_curve(sched)
-            B = sched.B
             z = CR(F(5, 3), F(1, 7))
-            coeffs = w_coefficients(curve.m_coeffs, curve.n_coeffs, z)
-            assert coeffs[-1] == (z ** B) * (z - 1)
+            u = CR(F(-2, 5), F(3, 4))
+            coeffs = u_coefficients(curve.m_coeffs, curve.n_coeffs, z)
+            alpha_product = CR(1)
+            for al in sched.alphas:
+                alpha_product = alpha_product * al
+            assert coeffs[-1] == z - 1
+            assert coeffs[0] == z * alpha_product
+            assert poly_eval(coeffs, u) == z * curve.evaluate(z, u / z)
 
     def test_zero_slope_rejected(self):
         sched = ParameterSchedule((-1, 0), (0, 2), (0,), (2,))
@@ -232,6 +241,32 @@ class TestBranchesAt:
                 mv = sum(to_big_complex(c, 224) * u ** k for k, c in enumerate(curve.m_coeffs))
                 nv = sum(to_big_complex(c, 224) * u ** k for k, c in enumerate(curve.n_coeffs))
                 assert abs(mv - w * nv) < mp.mpf(2) ** -90
+
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e-3, 1e3, 1e6])
+    def test_extreme_modulus(self, radius):
+        # w = u/z divides by z at these scales: each branch still solves the
+        # expanded A(z, w) to a relative 2^-120 with at most 128 bits, and
+        # the float tracker's rows agree with the branches at |z| = 1e-3, 1e3
+        curve = build_curve(ND4)
+        terms = [(to_big_complex(a, 512), j, k) for (j, k), a in curve.terms.items()]
+        zs = [radius * cmath.exp(1j * t) for t in (0.3, 1.9, 2.8, -1.2)]
+        rows = _BranchTracker(curve).branches(zs)
+        for z, row in zip(zs, rows):
+            ws = branches_at(curve, z, 128)
+            assert len(ws) == 4
+            with mp.workprec(512):
+                zz = mp.mpc(z)
+                for w in ws:
+                    assert max(w.real._mpf_[3], w.imag._mpf_[3]) <= 128
+                    value = sum(a * zz ** j * w ** k for a, j, k in terms)
+                    scale = sum(abs(a) * abs(zz) ** j * abs(w) ** k for a, j, k in terms)
+                    assert abs(value) <= scale * mp.mpf(2) ** -120
+            if radius in (1e-3, 1e3):
+                ref = np.array([complex(w) for w in ws])
+                nearest = np.abs(row[:, None] - ref).argmin(axis=1)
+                assert sorted(nearest) == [0, 1, 2, 3]
+                assert np.all(np.abs(row - ref[nearest]) <= 1e-12 * np.abs(ref[nearest]))
 
 
 class TestBranchPoints:

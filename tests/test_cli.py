@@ -402,6 +402,29 @@ class TestFailurePaths:
         assert f'fill="{REGION_COLORS[0]}"' in raster and f'fill="{REGION_COLORS[1]}"' in raster
         assert 40 < raster.count("<rect") < 40 * 40
 
+    def test_plot_manifest_records_inputs_and_width(self, sched_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("roots", "--schedule", sched_file, "--n-list", "4,6", "--precision", 128,
+                   "--out", out) == 0
+        for command in ("curve", "levels"):
+            assert run(command, "--schedule", sched_file, "--out", out) == 0
+        assert run("regions", "--schedule", sched_file, "--resolution", 40, "--out", out) == 0
+        assert run("plot", "--with-regions", "--width", 300, "--out", out) == 0
+        manifest = json.loads((out / "manifest_plot.json").read_text())
+        assert manifest["config"]["width"] == 300
+        read = ["roots_n6.txt", "level_1_2.csv", "branch_points.txt", "regions.txt"]
+        assert manifest["input_hashes"] == {
+            Path(name).stem: serialize.file_hash(out / name) for name in read}
+
+    @pytest.mark.parametrize("command", ["levels", "regions"])
+    def test_single_slope_exit_two(self, tmp_path, capsys, command):
+        # one slope has no branch point p_2 to serve as the default basepoint
+        spath = _schedule_file(tmp_path, ParameterSchedule((-1,), (0,), (), ()), "one")
+        out = tmp_path / "out"
+        assert run(command, "--schedule", spath, "--out", out) == 2
+        assert "no branch point p_2" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_verify_convergence_skipped_for_three_slopes(self, tmp_path, capsys):
         # branch designation exists only for two slopes: the report records the skip
         spath = _schedule_file(tmp_path, FIG5, "fig5")

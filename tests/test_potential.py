@@ -11,7 +11,7 @@ from hyperzeros.errors import (
     NonConvergenceError,
     SaddleAtSeedError,
 )
-from hyperzeros.algcurve import w_coefficients
+from hyperzeros.algcurve import u_coefficients
 from hyperzeros.exact import ComplexRational
 from hyperzeros.hyppoly import ParameterSchedule
 from hyperzeros.potential import (
@@ -410,8 +410,7 @@ class TestIntegralModeTrace:
         from hyperzeros.potential import _BranchTracker
 
         tracker = _BranchTracker(sys_.curve)
-        ws = sorted(tracker.all_branches(sys_.basepoint), key=lambda v: (v.real, v.imag))
-        w = np.array([ws[0]])
+        w = np.array(tracker.select(sys_.basepoint, (1,)))
         steps = 40
         for k in range(1, steps + 1):
             (w,), _ = tracker.track([sys_.basepoint + (z0 - sys_.basepoint) * k / steps], w)
@@ -437,15 +436,21 @@ class TestIntegralWithoutBasepoint:
             harmonic_value_by_integration(make_harmonic_system(ND3), 1, 1 + 1j)
 
 
+def _node_branches(tracker, s):
+    """The branch values at one node: ``np.roots`` of its u-coefficients,
+    computed on a one-element array as the tracker computes a step's, over s."""
+    coeffs = [c[0] for c in u_coefficients(tracker.m, tracker.n, np.array([s]))]
+    if abs(coeffs[-1]) == 0 or abs(s) < SINGULAR_GUARD:
+        raise InvalidInputError(f"branch values degenerate at z = {s}")
+    return np.roots(coeffs[::-1]) / s
+
+
 def _reference_integrate(tracker, a, b, ws):
     """``_integrate`` as a chain of single-point steps, one ``np.roots`` solve
     per node: the reference the batched tracker must reproduce exactly."""
 
     def step(s, w_prev):
-        coeffs = w_coefficients(tracker.m, tracker.n, s)
-        if abs(coeffs[-1]) == 0 or abs(s) < SINGULAR_GUARD:
-            raise InvalidInputError(f"branch values degenerate at z = {s}")
-        branches = np.roots(coeffs[::-1])
+        branches = _node_branches(tracker, s)
         dists = np.abs(w_prev[:, None] - branches)
         w = branches[dists.argmin(axis=1)]
         sep = np.sort(np.abs(w[:, None] - branches), axis=1)[:, 1]
@@ -534,8 +539,8 @@ class TestBatchedTracker:
     def test_one_point_track_matches_np_roots(self, sys_k1):
         tracker = _BranchTracker(_forced_integral(sys_k1).curve)
         z = 1.3 + 0.2j
-        branches = np.roots(w_coefficients(tracker.m, tracker.n, z)[::-1])
-        assert np.array_equal(tracker.all_branches(z), branches)
+        branches = _node_branches(tracker, z)
+        assert np.array_equal(tracker.branches([z])[0], branches)
         (w,), ok = tracker.track([z], np.array([-0.7 + 0.1j]))
         assert ok and w == branches[np.abs(-0.7 + 0.1j - branches).argmin()]
         with pytest.raises(InvalidInputError):

@@ -2,8 +2,10 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
+from hyperzeros.algcurve import branches_at, build_curve
 from hyperzeros.potential import classify_regions, make_harmonic_system, trace_level_curve
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -41,3 +43,17 @@ def test_flipped_label_changes_region_line():
     assert line == trace_digest.region_line("regions", dataclasses.replace(grid))
     assert line.split()[:2] == ["regions", str(int(grid.kmask.sum()))]
     assert trace_digest.region_line("regions", dataclasses.replace(grid, labels=labels)) != line
+
+
+def test_moved_branch_value_changes_its_line():
+    curve = build_curve(trace_digest.ND4)
+    values = [w for z in trace_digest.branch_sample()[:2] for w in branches_at(curve, z, 128)]
+    line = trace_digest.branches_line("branches", values)
+    assert line.split()[:2] == ["branches", "8"]
+    assert trace_digest.branches_line("branches", list(values)) == line
+    # one unit in the last place of the real part's mantissa
+    sign, man, exp, _ = values[5].real._mpf_
+    real = mp.libmp.from_man_exp((-man if sign else man) + 1, exp)
+    assert mp.make_mpf(real) != values[5].real
+    values[5] = mp.make_mpc((real, values[5].imag._mpf_))
+    assert trace_digest.branches_line("branches", values) != line
