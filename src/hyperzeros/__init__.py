@@ -7,7 +7,9 @@ them into reproducible figure-grade runs.
 
 The public names below are resolved on first access (PEP 562), so importing
 the package, or a module of it such as ``hyperzeros.cli``, loads only the
-modules that are used: the exact and root-finding layers run without numpy.
+modules that are used: the exact layer and the root-finding layer run
+without numpy, except for the float stage that solves the zeros of a
+two-slope member from its differential equation.
 """
 
 import importlib

@@ -19,6 +19,7 @@ polynomials (``exact``) and comes back as exact complex rationals.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,27 @@ def u_coefficients(m_coeffs, n_coeffs, z):
     leading coefficient is z - 1 and the constant one z prod alpha_i.
     """
     return [z * m_coeffs[0]] + [z * m - n for m, n in zip(m_coeffs[1:], n_coeffs)]
+
+
+def companion_matrices(m_coeffs, n_coeffs, zs):
+    """(mats, finite): the companion matrices that ``np.roots`` builds for
+    the u-polynomials z M(u) - u N(u) at each point of ``zs``, stacked for
+    one ``np.linalg.eigvals`` call, and a mask of the points where the
+    leading coefficient z - 1 is nonzero and the matrix finite.
+
+    ``m_coeffs`` and ``n_coeffs`` are Python complex lists.  numpy is
+    imported here, so the callers that need no eigenvalues run without it.
+    """
+    import numpy as np
+
+    zs = np.asarray(zs, dtype=complex)
+    degree = len(m_coeffs) - 1
+    coeffs = np.stack(u_coefficients(m_coeffs, n_coeffs, zs)[::-1], axis=1)
+    mats = np.zeros((len(zs), degree, degree), dtype=complex)
+    mats[:, range(1, degree), range(degree - 1)] = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mats[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    return mats, (np.abs(coeffs[:, 0]) != 0) & np.isfinite(mats).all(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -117,11 +139,28 @@ def build_curve(schedule: ParameterSchedule) -> BivariateCurve:
     )
 
 
+def _float_u_roots(curve: BivariateCurve, z: complex):
+    """The complex128 roots u of z M(u) - u N(u), or None where they are
+    not finite or not distinct."""
+    import numpy as np
+
+    mats, finite = companion_matrices([complex(c) for c in curve.m_coeffs],
+                                      [complex(c) for c in curve.n_coeffs], [z])
+    if not finite[0]:
+        return None
+    us = [complex(u) for u in np.linalg.eigvals(mats)[0]]
+    return us if len(set(us)) == len(us) and all(map(cmath.isfinite, us)) else None
+
+
 def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
     """The A roots in w of A(z, .), sorted lexicographically by (re, im).
 
     The roots u = z w of z M(u) - u N(u) are solved with 32 guard bits and
-    each w = u/z is rounded once to ``precision_bits``.  z must avoid 0 and
+    each w = u/z is rounded once to ``precision_bits``.  The solve starts
+    from the complex128 eigenvalues of the u-polynomial's companion matrix
+    (``companion_matrices``, the branch tracker's solve), polished in one
+    certified Aberth phase; where they are not finite or not distinct it
+    takes the Newton-polygon ladder.  z must avoid 0 and
     1, where the constant and the leading u-coefficient vanish, and should
     avoid branch points, where values coincide.  A precision below 1 bit
     raises InvalidInputError.
@@ -141,7 +180,8 @@ def branches_at(curve: BivariateCurve, z, precision_bits: int = 128):
         )
         if not coeffs[-1]:
             raise InvalidInputError(f"leading u-coefficient z - 1 of A({z}, .) vanishes")
-        us, _, _, _, _ = solve_all_roots(coeffs, wp)
+        seeds = _float_u_roots(curve, complex(zz))
+        us, _, _, _, _ = solve_all_roots(coeffs, wp, seeds)
     with mp.workprec(precision_bits):
         ws = [u / zz for u in us]
     return sorted(ws, key=lambda v: (v.real, v.imag))

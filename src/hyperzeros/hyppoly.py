@@ -21,6 +21,9 @@ from .exact import (
     ZERO,
     ComplexRational,
     is_nonpositive_integer,
+    poly_add,
+    poly_scale,
+    poly_sub,
     poly_trim,
 )
 
@@ -251,6 +254,39 @@ def apply_hypergeometric_operator(p: HypPolynomial) -> HypPolynomial:
             down = down * (aj + m)
         out.append(up - down)
     return HypPolynomial.from_coefficients(out, p.schedule, p.n)
+
+
+def _left_multiply(op, e, c):
+    """(z^e D + c) op, D = d/dz and e in {0, 1}, for op = sum_m op[m](z) D^m:
+    the factor sends f D^m to (z^e f' + c f) D^m + z^e f D^(m+1)."""
+    out = [[] for _ in range(len(op) + 1)]
+    for m, f in enumerate(op):
+        # apply_delta gives z f', and dropping its constant term gives f'
+        out[m] = poly_add(out[m], poly_add(apply_delta(f)[1 - e:], poly_scale(f, c)))
+        out[m + 1] = poly_add(out[m + 1], [ZERO] * e + list(f))
+    return out
+
+
+def differential_operator(schedule: ParameterSchedule, n: int):
+    """The defining operator at n in the d/dz basis, as exact polynomials.
+
+    With D = d/dz and theta = z D,
+    L = prod_i (theta + a_i) - D prod_j (theta + b_j - 1) = sum_{m=0}^{A} P_m(z) D^m.
+    Returns (P_0, ..., P_A), each a tuple of ComplexRational coefficients
+    from the constant term up.  L is minus the operator of
+    ``apply_hypergeometric_operator``, so it annihilates the members of
+    ``build_polynomial``; P_A = z^(A-1) (z - 1), singular at 0 and 1.  For
+    A = 2 this is the Gauss equation, L = z (z - 1) D^2 + ((1 + a_1 + a_2) z
+    - b_1) D + a_1 a_2.
+    """
+    num = [[ONE]]
+    for a in schedule.numerator_params(n):
+        num = _left_multiply(num, 1, a)
+    den = [[ONE]]
+    for b in schedule.denominator_params(n):
+        den = _left_multiply(den, 1, b - 1)
+    den = _left_multiply(den, 0, ZERO)
+    return tuple(tuple(poly_sub(x, y)) for x, y in zip(num, den))
 
 
 def characteristic_roots(schedule: ParameterSchedule):

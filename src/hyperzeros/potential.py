@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algcurve import BivariateCurve, build_curve, u_coefficients
+from .algcurve import BivariateCurve, build_curve, companion_matrices
 from .errors import (
     BranchCollisionError,
     InvalidInputError,
@@ -253,17 +253,8 @@ class _BranchTracker:
         that point.
         """
         zs = np.asarray(zs, dtype=complex)
-        degree = len(self.m) - 1
-        coeffs = np.stack(u_coefficients(self.m, self.n, zs)[::-1], axis=1)
-        mats = np.zeros((len(zs), degree, degree), dtype=complex)
-        mats[:, range(1, degree), range(degree - 1)] = 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mats[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-        usable = (
-            (np.abs(coeffs[:, 0]) != 0)
-            & (np.abs(zs) >= SINGULAR_GUARD)
-            & np.isfinite(mats).all(axis=(1, 2))
-        )
+        mats, finite = companion_matrices(self.m, self.n, zs)
+        usable = finite & (np.abs(zs) >= SINGULAR_GUARD)
         stop = len(zs) if usable.all() else int(usable.argmin())
         return np.linalg.eigvals(mats[:stop]) / zs[:stop, None]
 

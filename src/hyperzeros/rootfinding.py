@@ -1,43 +1,47 @@
 """Certified multiprecision zeros of exact polynomials.
 
 All zeros are found simultaneously by Ehrlich-Aberth iteration.  For a
-two-slope degenerate schedule ``find_roots`` seeds it at the mass quantiles
-of the limit loop the zeros cluster on (``_loop_seeds``, in cmath; starting
-points near the roots, after Bini, Numer. Algorithms 13, 1996); every other
-input is seeded on Newton-polygon circles (radii from the coefficient-based
-root-magnitude bound).  Coefficients of this polynomial family span
-hundreds of orders of magnitude, so the target working precision carries
-the coefficient spread on top of the requested precision.  The iteration
-climbs a ladder of working precisions towards that target, rung 0
-starting from the seeds and each later rung from the previous rung's
-iterates (the adaptive-precision Aberth of MPSolve; Bini & Robol, J.
-Comput. Appl. Math. 272, 2014).  The ladder does not keep the global
-convergence at low precision: for K1, alpha = 2 + i and FIG5 at n = 50 to
-200, rung 0's spread + 64 bits lie well below the roots' condition
-max log2(sum |c_k||z|^k / |p'(z)|), 2.8 to 4.2 bits per degree, so rung 0
-cannot resolve the roots and the global phase runs at the target width.  The sweeps run in fixed point on
-Gaussian integers (CPython ints) after a block exponent scales the
-coefficients, and stop at the noise floor of a floating-point evaluation
-at the rung's precision.  Only the pairwise Aberth sum is sized to the
-step's error budget: an error e in it moves the step by about |N|^2 e,
-N = p/p', so most root updates of a high-degree solve take it in complex128
-from float copies of the iterates, and the rest take one exact integer loop
-on a grid just fine enough for the step (the mixed float/multiprecision
-Aberth of MPSolve, ibid.); an iterate outside double range has a NaN copy,
-which sends every sum that reads it to that loop on the full grid.  Every
-root is then certified a posteriori at the target rung by a running-error
-Horner bound, in the same fixed-point arithmetic: the sweeps and the
-certificates share one Horner loop, the certificates add its rounding error
-as an explicit term, and they carry the term magnitudes as floats with
-integer exponents, rounded outward.  A fault in the sweeps can therefore
-cost iterations or a precision doubling but never a false certificate.  If
-certification fails the target doubles and the ladder continues, up to a
-hard cap.
+two-slope degenerate schedule ``find_roots`` first solves the zeros in
+complex128 from the hypergeometric differential equation itself: at a zero
+z_k of p_n the equation reads
+P_1(z_k) + 2 P_2(z_k) sum_{j != k} 1/(z_k - z_j) = 0,
+Stieltjes' electrostatic system (C. R. Acad. Sci. Paris 100, 1885;
+Szego, Orthogonal Polynomials, 6.7), which Newton solves from the mass
+quantiles of the limit loop (``_loop_seeds``, ``_float_zeros``).  One Aberth
+phase then polishes these float zeros at a width sized from their condition
+kappa = max log2(sum |c_k||z_k|^k / |p'(z_k)|), read off the float zeros
+(the adaptive-precision Aberth polish of MPSolve; Bini & Robol, J. Comput.
+Appl. Math. 272, 2014).  Every other input, and a two-slope one whose float
+stage fails, is seeded on Newton-polygon circles (radii from the
+coefficient-based root-magnitude bound) and climbs a ladder of working
+precisions, rung 0 starting from the seeds and each later rung from the
+previous rung's iterates.  Coefficients of this polynomial family span
+hundreds of orders of magnitude, so the target working precision carries the
+coefficient spread on top of the requested precision.  The sweeps run in
+fixed point on Gaussian integers (CPython ints) after a block exponent
+scales the coefficients, and stop at the noise floor of a floating-point
+evaluation at the phase's precision.  Only the pairwise Aberth sum is sized
+to the step's error budget: an error e in it moves the step by about
+|N|^2 e, N = p/p', so most root updates of a high-degree solve take it in
+complex128 from float copies of the iterates, and the rest take one exact
+integer loop on a grid just fine enough for the step (the mixed
+float/multiprecision Aberth of MPSolve, ibid.); an iterate outside double
+range has a NaN copy, which sends every sum that reads it to that loop on
+the full grid.  Every root is then certified a posteriori at the target
+width by a running-error Horner bound, in the same fixed-point arithmetic:
+the certificates evaluate p on the sweeps' grid and p' on a grid just fine
+enough for the 53 bits the forward bound keeps, add the rounding errors as
+explicit terms, and carry the term magnitudes as floats with integer
+exponents, rounded outward.  A fault in the sweeps or the float stage can
+therefore cost iterations or a precision doubling but never a false
+certificate.  If certification fails the target doubles and the solve
+continues from the last iterates, up to a hard cap.
 
 The solver has one entry, ``solve_all_roots``, which takes a plain
 coefficient list (exact ComplexRationals or already-rounded mpcs) and
-rounds it at each working precision; ``find_roots`` wraps it for exact
-polynomials.
+rounds it at each working precision, and optionally float approximations
+of the roots; ``find_roots`` wraps it for exact polynomials.  Only the
+float stage imports numpy, so solves without it run without numpy.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from mpmath.libmp import (
 
 from .errors import InvalidInputError, NonConvergenceError, PoleError
 from .exact import ComplexRational
-from .hyppoly import HypPolynomial
+from .hyppoly import HypPolynomial, differential_operator
 
 DEFAULT_PRECISION = 512
 MAX_PRECISION = 4096
@@ -204,10 +208,11 @@ def _loop_seeds(p: HypPolynomial):
     most 0.1 in arg G.  It stops half a quantile short of the saddle, so no
     step crosses onto the lobe around 0.
 
-    None, so that the Newton polygon seeds the solve, for every other
-    schedule (decided first), a degree below n, a zero constant term, alpha
-    in {0, -1}, a failed bisection or Newton solve, and a seed polygon that
-    does not wind once around 1 and zero times around 0.
+    The seeds start the float stage (``_float_zeros``).  None, so that the
+    Newton-polygon ladder runs, for every other schedule (decided first), a
+    degree below n, a zero constant term, alpha in {0, -1}, a failed
+    bisection or Newton solve, and a seed polygon that does not wind once
+    around 1 and zero times around 0.
     """
     s = p.schedule
     if s.A != 2 or not s.is_degenerate:
@@ -265,6 +270,105 @@ def _loop_seeds(p: HypPolynomial):
     return seeds if windings == [1, 0] else None
 
 
+def _lu_solve(a, b):
+    """x with a x = b, for a square complex array ``a`` and a vector ``b``,
+    both overwritten: Gaussian elimination with partial pivoting, then back
+    substitution, in elementwise numpy.  No BLAS or LAPACK routine runs, so
+    the bits do not depend on the thread count (``numpy.linalg.solve``'s
+    do).  A zero pivot gives non-finite entries."""
+    import numpy as np
+
+    n = len(b)
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        col = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k + 1:] -= np.multiply.outer(col, a[k, k + 1:])
+        b[k + 1:] -= col * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] /= a[k, k]
+        b[:k] -= a[:k, k] * b[k]
+    return b
+
+
+def _float_zeros(p: HypPolynomial):
+    """The zeros of a two-slope member ``p`` in complex128, solved from its
+    differential equation by Newton from its loop seeds (``_loop_seeds``);
+    None when ``p`` has none or Newton fails.
+
+    The operator L = P_2 D^2 + P_1 D + P_0 (``differential_operator``)
+    annihilates p = c_n prod_j (z - z_j).  At a zero z_k, p'' / p' =
+    2 S_1 with S_s = sum_{j != k} (z_k - z_j)^-s, so L p(z_k) = 0 reads
+    F_k = P_1(z_k) + 2 P_2(z_k) S_1 = 0, one equation per zero that never
+    touches the coefficients (Stieltjes' electrostatic system).  A solution
+    with distinct z_k is the zero set of p: L lowers the degree of a
+    degree-n polynomial (a_1 = -n), and L q vanishes at the n zeros of
+    q = prod (z - z_k), so L q = 0 and q is a multiple of p, the one
+    polynomial solution when the series runs to degree n.  The Jacobian is
+    dense and analytic,
+    J_kj = 2 P_2(z_k) / (z_k - z_j)^2 off the diagonal and
+    J_kk = P_1'(z_k) + 2 P_2'(z_k) S_1 - 2 P_2(z_k) S_2, and each Newton
+    step solves it by ``_lu_solve``.  The iteration stops after the step
+    in which every z_k moved by at most 2^-40 |z_k|.
+
+    Returns (zeros, iterations, residual), residual the largest
+    |F_k| / (|P_1(z_k)| + 2 |P_2(z_k)| sum_j |z_k - z_j|^-1), or None when
+    there are no loop seeds, 12 iterations do not converge, an iterate is not finite, two zeros are
+    closer than 2^-40 |z_k|, or the residual exceeds 1e-10.  numpy is
+    imported here only.
+    """
+    seeds = _loop_seeds(p)
+    if seeds is None:
+        return None
+    import numpy as np
+
+    _, p1, p2 = ([complex(c) for c in poly] for poly in differential_operator(p.schedule, p.n))
+    d1, d2 = ([k * c for k, c in enumerate(poly)][1:] for poly in (p1, p2))
+
+    def at(poly, x):
+        v = np.zeros_like(x)
+        for c in reversed(poly):
+            v = v * x + c
+        return v
+
+    def inverse_gaps(z):
+        gaps = z[:, None] - z[None, :]
+        np.fill_diagonal(gaps, 1)
+        inv = 1 / gaps
+        np.fill_diagonal(inv, 0)
+        return inv
+
+    z = np.array(seeds, dtype=complex)
+    diagonal = np.diag_indices(len(z))
+    with np.errstate(all="ignore"):
+        for iterations in range(1, 13):
+            inv = inverse_gaps(z)
+            inv2 = inv * inv
+            s1 = inv.sum(axis=1)
+            v1, v2 = at(p1, z), at(p2, z)
+            jac = 2 * v2[:, None] * inv2
+            jac[diagonal] = at(d1, z) + 2 * at(d2, z) * s1 - 2 * v2 * inv2.sum(axis=1)
+            step = _lu_solve(jac, v1 + 2 * v2 * s1)
+            z = z - step
+            if not np.isfinite(z).all():
+                return None
+            if (np.abs(step) <= 2.0 ** -40 * np.abs(z)).all():
+                break
+        else:
+            return None
+        inv = inverse_gaps(z)
+        if not np.isfinite(inv).all() or (np.abs(inv) * np.abs(z)[:, None] >= _FLOAT_CLOSE).any():
+            return None
+        v1, v2 = at(p1, z), at(p2, z)
+        residual = float(np.max(np.abs(v1 + 2 * v2 * inv.sum(axis=1))
+                                / (np.abs(v1) + 2 * np.abs(v2) * np.abs(inv).sum(axis=1))))
+    if not residual <= 1e-10:
+        return None
+    return [complex(x) for x in z], iterations, residual
+
+
 def _fixed_coeffs(c, b):
     """The coefficients scaled by one power of two, as integer pairs on the grid 2^-b.
 
@@ -312,6 +416,20 @@ def _fixed_horner(coeffs, xr, xi, b):
         vr, vi = ((k - vi * xs) >> b) + ar, ((k + vr * xd) >> b) + ai
         pt = ((pt * az) >> b) + aa
     return vr, vi, dr, di, pt
+
+
+def _fixed_value(coeffs, xr, xi, b):
+    """p(z) alone on the grid 2^-b, as an integer pair: the p part of
+    ``_fixed_horner``, for (re, im) grid pairs from the leading coefficient
+    down, with the same error bound."""
+    terms = iter(coeffs)
+    vr, vi = next(terms)
+    xs = xr + xi
+    xd = xi - xr
+    for ar, ai in terms:
+        k = xr * (vr + vi)
+        vr, vi = ((k - vi * xs) >> b) + ar, ((k + vr * xd) >> b) + ai
+    return vr, vi
 
 
 def _float_copy(r, i, one):
@@ -536,6 +654,87 @@ def _ceil_scaled(x, e):
     return -(-num // den)
 
 
+def _log2_gap_products(zf):
+    """sum_{j != k} log2 |z_k - z_j| for each point z_k of the complex list
+    ``zf``: log2 of |p'(z_k) / c_n| when the points are the roots of p.
+    -inf where two points coincide, and inf or NaN where a gap is not
+    finite."""
+    out = []
+    for k, x in enumerate(zf):
+        gaps = [abs(x - y) for y in zf[:k]] + [abs(x - y) for y in zf[k + 1:]]
+        out.append(sum(map(math.log2, gaps)) if all(gaps) else -math.inf)
+    return out
+
+
+def _condition_bits(c, zf):
+    """kappa = max_k log2(pt(z_k) / (|c_n| prod_{j != k} |z_k - z_j|)),
+    rounded up and at least 0, for the distinct float approximations ``zf``
+    of the roots of sum_k c_k z^k (mpcs, c_0 != 0), pt = sum_k |c_k| |z|^k.
+
+    At the roots the denominator is |p'(z_k)|, so kappa is the bits a
+    wp-bit evaluation of p loses to cancellation in the forward error
+    |p| / |p'|.  Only float accuracy is needed: the |c_k| are
+    ``_magnitude`` mantissas and exponents, and pt is summed in log2.
+    """
+    logs = [math.log2(m) + e if m else -math.inf for m, e in map(_magnitude, c)]
+    worst = -math.inf
+    for x, gaps in zip(zf, _log2_gap_products(zf)):
+        lz = math.log2(abs(x)) if x else -math.inf
+        terms = [logs[0]] + [lc + k * lz for k, lc in enumerate(logs[1:], 1)]
+        top = max(terms)
+        lpt = top + math.log2(sum(2.0 ** (t - top) for t in terms))
+        worst = max(worst, lpt - logs[-1] - gaps)
+    return math.ceil(max(0.0, worst))
+
+
+def _grid(c, grids, b):
+    """(pairs, derivative pairs, shift): the coefficients of p = sum_k c_k z^k
+    and of p' on the grid 2^-b as (re, im) integer pairs from the leading
+    coefficient down (``_fixed_coeffs``), the pairs of p' being k times
+    those of c_k; cached in ``grids``."""
+    if b not in grids:
+        cr, ci, shift = _fixed_coeffs(c, b)
+        grids[b] = (list(zip(cr[::-1], ci[::-1])),
+                    [(k * cr[k], k * ci[k]) for k in range(len(c) - 1, 0, -1)], shift)
+    return grids[b]
+
+
+def _derivative_floor(c, grids, zk, est, err, b_max, scale_bits):
+    """(dv, shift) with |p'(z_k)| >= dv 2^-shift for p = sum_k c_k z^k.
+
+    p' is evaluated by Horner (``_fixed_value``) on its own coefficients
+    k c_k, on the grid 2^-b with b the multiple of 64 at which the error
+    term ``err`` (in grid units) should stay below 2^-106 of |p'|: twice the
+    53 bits of p' that the forward bound keeps, so that the bound, rounded
+    up at 53 bits, moves only when it lies within 2^-53 of its units of a
+    rounding step.  ``est`` estimates log2 |p'(z_k)|, and the grid integers
+    of the coefficients are c_k 2^(b + scale_bits).  A grid that misses
+    that accuracy is refined (by what the measured |p'| lacks, or twice the
+    bits when |p'| is not above the error), up to ``b_max``, where the
+    result stands as it is; a non-finite ``est`` starts there.
+
+    z_k is truncated onto the grid, off by less than sqrt(2) 2^-b; with
+    |c_k| 2^scale_bits < 2 that moves p' (in those units) by at most
+    sqrt(2) 2^-b sum_k 2 k (k - 1) max(1, |z|)^(k - 2) <
+    (deg + 1)^3 2^-b max(1, |z|)^deg (the constant's slack covers the
+    truncation's own step outward), and Horner at the truncated point errs
+    like ``_fixed_horner``'s p' by less than 2 (deg + 1)^2 2^-b
+    max(1, |z|)^deg, so ``err`` = 2 (deg + 1)^3 max(1, |z|)^deg covers both.
+    ``grids`` caches the coefficient pairs per grid (``_grid``).
+    """
+    bits = err.bit_length() + 107
+    b = b_max if not math.isfinite(est) else min(b_max, max(64, 64 * math.ceil(
+        (bits - est - scale_bits) / 64)))
+    while True:
+        _, coeffs, shift = _grid(c, grids, b)
+        dr, di = _fixed_value(coeffs, to_fixed(zk._mpc_[0], b), to_fixed(zk._mpc_[1], b), b)
+        mod = math.isqrt(dr * dr + di * di)
+        if mod >> 106 >= err or b == b_max:
+            return mod - err, shift
+        more = bits + 1 - mod.bit_length() if mod > 2 * err else b
+        b = min(b_max, b + 64 * math.ceil(more / 64))
+
+
 def _certificates(c, z):
     """Per-root residual and forward-error bounds of sum_k c_k z^k at ``z``.
 
@@ -545,12 +744,15 @@ def _certificates(c, z):
     term 2 deg eps pt, pt = sum_k |c_k| |z|^k and eps that of the ambient
     mpmath precision wp, is the floating-point Horner noise model at wp bits.
 
-    p and p' come from the Aberth kernel's fixed-point Horner
-    (``_fixed_horner``) on the grid 2^-b, b = wp + spread + 4 or finer where
-    a point needs it, so that every point of ``z`` lies on the grid exactly.
-    The grid's rounding errors enter as explicit terms: |p| is bounded above
-    by its integer modulus plus 1 plus 4 (deg + 1) max(1, |z|)^deg grid
-    units, and |p'| below by its modulus less 2 (deg + 1)^2 max(1, |z|)^deg.
+    p comes from the Aberth kernel's fixed-point Horner (``_fixed_value``)
+    on the grid 2^-b, b = wp + spread + 4 or finer where a point needs it,
+    so that every point of ``z`` lies on the grid exactly.  Its rounding
+    errors enter as explicit terms: |p| is bounded above by its integer
+    modulus plus 1 plus 4 (deg + 1) max(1, |z|)^deg grid units.  |p'| is
+    bounded below on a coarser grid of its own (``_derivative_floor``),
+    sized from log2 |c_n| + sum_{j != k} log2 |z_k - z_j| over the points
+    (``_log2_gap_products``), which is log2 |p'(z_k)| when they are the
+    roots, and never finer than b.
 
     pt, scale and max(1, |z|)^deg need only a few bits, so they are float
     mantissas with integer exponents (``_magnitude``), each power |z|^k and
@@ -567,21 +769,17 @@ def _certificates(c, z):
               - min(e for m, e in (mags[0], mags[-1]) if m) + 1)
     slack = (deg + 4) * 2.0 ** -48
     p_err = 4 * (deg + 1)
-    d_err = 2 * (deg + 1) ** 2
+    d_err = 2 * (deg + 1) ** 3
+    lead = math.log2(mags[-1][0]) + mags[-1][1]
+    estimates = [lead + g for g in _log2_gap_products([complex(zk) for zk in z])]
     grids = {}
     residuals = []
     forwards = []
-    for zk in z:
+    for zk, est in zip(z, estimates):
         # the coarsest grid of at least wp + spread + 4 bits that holds z_k
         b = max([wp + spread + 4] + [-x[2] for x in zk._mpc_ if x[1]])
-        if b not in grids:
-            cr, ci, shift = _fixed_coeffs(c, b)
-            # pt is bounded in floats further down, so the grid's
-            # running-error sum runs on zero moduli and costs next to nothing
-            grids[b] = [(r, i, 0) for r, i in zip(cr[::-1], ci[::-1])], shift
-        coeffs, shift = grids[b]
-        vr, vi, dr, di, _ = _fixed_horner(coeffs, to_fixed(zk._mpc_[0], b),
-                                          to_fixed(zk._mpc_[1], b), b)
+        coeffs, _, shift = _grid(c, grids, b)
+        vr, vi = _fixed_value(coeffs, to_fixed(zk._mpc_[0], b), to_fixed(zk._mpc_[1], b), b)
         # the nonzero terms |c_k| |z|^k as normalized (mantissa, exponent),
         # with |z|^k = pm 2^pe
         zm, ze = _magnitude(zk)
@@ -596,17 +794,19 @@ def _certificates(c, z):
         top = max(e for _, e in terms)
         scale = max(m for m, e in terms if e == top) * (1 - slack)
         pt = sum(math.ldexp(m, e - top) for m, e in terms) * (1 + slack)
-        # p and p' are integers times 2^-shift: on that scale the noise
+        # p is an integer times 2^-shift: on that scale the noise
         # 2 deg 2^(1 - wp) pt is 4 deg pt 2^(shift - wp), and the grid
         # errors take max(1, |z|)^deg, pm 2^pe widened like pt
         noise = 4 * deg * _ceil_scaled(pt, top + shift - wp)
         zpow = pm * (1 + slack)
         pv = (math.isqrt(vr * vr + vi * vi) + 1 + noise
               + max(p_err, _ceil_scaled(p_err * zpow, pe)))
-        dv = math.isqrt(dr * dr + di * di) - max(d_err, _ceil_scaled(d_err * zpow, pe))
+        dv, d_shift = _derivative_floor(c, grids, zk, est,
+                                        max(d_err, _ceil_scaled(d_err * zpow, pe)), b, shift - b)
         scale = mpf_shift(from_float(scale), top)
         residuals.append(mp.make_mpf(mpf_div(from_man_exp(pv, -shift), scale, 53, round_ceiling)))
-        forwards.append(mp.make_mpf(mpf_div(from_int(pv), from_int(dv), 53, round_ceiling))
+        forwards.append(mp.make_mpf(mpf_div(from_man_exp(pv, -shift), from_man_exp(dv, -d_shift),
+                                            53, round_ceiling))
                         if dv > 0 else mp.inf)
     return residuals, forwards
 
@@ -625,39 +825,53 @@ def _margin_bits(bounds, limits):
 
 
 def _solve_nonzero(c, precision_bits, seeds=None):
-    """Aberth on a ladder of working precisions for a list with c[0] != 0.
+    """Certified Aberth for a list with c[0] != 0, from float approximations
+    of the roots (``seeds``) or on a ladder of working precisions.
 
-    Rung 0, the ``seed`` record, starts at max(96, spread + 64) bits from
-    ``seeds`` when given (rule ``loop``), else from the Newton-polygon
-    circles (rule ``polygon``); every later rung reruns the same sweeps from
-    the previous rung's iterates at twice the precision, or at the target
-    prec + spread + 64 once that is within a factor of 3.  Every rung has
-    the same sweep cap, 120 + 2 degree; a rung that reaches it hands its
-    iterates on to the next rung, which finishes the work.  The target rung
-    always runs, below rung 0 if a low ``prec`` puts it there.  For K1,
-    alpha = 2 + i and FIG5 at n = 50 to 200 rung 0 runs below the roots'
-    condition, so the global convergence happens at the target width, not
-    on the low rungs.  The certificates run once, at the target rung; their
-    ``certify`` record carries the outcomes and the worst margins
-    floor(log2(bound / threshold)) over the roots, ``residual_margin`` and
-    ``forward_margin`` (``_margin_bits``).  A failure doubles ``prec`` and
-    continues the ladder from the last iterates.  Returns the unsorted (roots, residuals, forwards,
-    precision_used, trace), the roots rounded to precision_used bits and
-    the bounds evaluated there.
+    With ``seeds`` one phase, the ``seed`` record (rule ``seeds``), runs
+    from them at the target max(prec + spread + 64, prec/2 + kappa + 64)
+    bits, kappa from the seeds (``_condition_bits``, recorded as
+    ``kappa_bits``): the forward bound |p| / |p'| at a wp-bit noise floor is
+    about 2^(kappa - wp), and it must beat 2^(-prec/2).  No rung runs below
+    that width, where it would scramble the seeds.
+
+    Without ``seeds`` rung 0, the ``seed`` record (rule ``polygon``), starts
+    at max(96, spread + 64) bits from the Newton-polygon circles; every later
+    rung reruns the same sweeps from the previous rung's iterates at twice
+    the precision, or at the target prec + spread + 64 once that is within
+    a factor of 3.  The target rung always runs, below rung 0 if a low
+    ``prec`` puts it there.  Rung 0 runs below the roots' condition for
+    large two-slope members, so there the global convergence happens at
+    the target width, not on the low rungs.
+
+    Every phase has the same sweep cap, 120 + 2 degree; a rung that reaches
+    it hands its iterates on to the next rung, which finishes the work.  The
+    certificates run once per target; their ``certify`` record carries the
+    outcomes and the worst margins floor(log2(bound / threshold)) over the
+    roots, ``residual_margin`` and ``forward_margin`` (``_margin_bits``).  A
+    failure doubles ``prec`` and continues from the last iterates.  Returns
+    the unsorted (roots, residuals, forwards, precision_used, trace), the
+    roots rounded to precision_used bits and the bounds evaluated there.
     """
     degree = len(c) - 1
     with mp.workprec(64):
-        spread = _coeff_spread_bits([to_big_complex(ck, 64) for ck in c])
+        c64 = [to_big_complex(ck, 64) for ck in c]
+        spread = _coeff_spread_bits(c64)
+    kappa = None if seeds is None else _condition_bits(c64, seeds)
     wp, phase = max(96, spread + 64), "seed"
     trace = []
     prec = precision_bits
     while True:
         target = prec + spread + 64
+        if kappa is not None:
+            target = max(target, prec // 2 + kappa + 64)
         while True:
             if phase == "rung":
                 # Aberth converges cubically near the roots, so from within a
                 # factor of 3 of the target one rung reaches it
                 wp = target if 3 * wp >= target else 2 * wp
+            elif seeds is not None:
+                wp = target
             with mp.workprec(wp):
                 cw = [to_big_complex(ck, wp) for ck in c]
                 if phase == "seed":
@@ -668,12 +882,16 @@ def _solve_nonzero(c, precision_bits, seeds=None):
             record = {"phase": phase, "working_bits": wp, "sweeps": sweeps, "active_left": left,
                       "float_sums": float_sums, "integer_sums": integer_sums}
             if phase == "seed":
-                record["rule"] = "polygon" if seeds is None else "loop"
+                record["rule"] = "polygon" if seeds is None else "seeds"
+                if seeds is not None:
+                    record["kappa_bits"] = kappa
             trace.append(record)
-            # the target rung runs even when the seed already works at or above it
-            if phase == "rung" and wp == target:
-                break
+            # the polygon's target rung runs even when its seed already works
+            # at or above it
+            done = wp == target and (phase == "rung" or seeds is not None)
             phase = "rung"
+            if done:
+                break
         with mp.workprec(wp):
             zr = [to_big_complex(zi, prec) for zi in z]
             residuals, forwards = _certificates(cw, zr)
@@ -710,8 +928,10 @@ def solve_all_roots(coeffs, precision_bits, seeds=None):
     the accuracy of rounded input caps what can be certified.  Zero low
     coefficients give exact roots at the origin with zero bounds; the
     remaining roots come from the list with those coefficients stripped.
-    ``seeds``, when given, are the rung-0 starting points of those remaining
-    roots, one each, in place of the Newton-polygon circles.
+    ``seeds``, when given, are float approximations of those remaining
+    roots, one each, finite and distinct: one Aberth phase polishes them at
+    a width sized from their condition, in place of the Newton-polygon
+    circles and the precision ladder (``_solve_nonzero``).
 
     Returns (roots, residuals, forwards, precision_used, trace), rounded to
     ``precision_used`` bits and sorted lexicographically by (re, im).  A
@@ -726,9 +946,13 @@ def solve_all_roots(coeffs, precision_bits, seeds=None):
     zeros_at_origin = 0
     while zeros_at_origin < degree and not coeffs[zeros_at_origin]:
         zeros_at_origin += 1
-    if seeds is not None and len(seeds) != degree - zeros_at_origin:
-        raise InvalidInputError(
-            f"{len(seeds)} seeds for {degree - zeros_at_origin} nonzero roots")
+    if seeds is not None:
+        seeds = [complex(s) for s in seeds]
+        if len(seeds) != degree - zeros_at_origin:
+            raise InvalidInputError(
+                f"{len(seeds)} seeds for {degree - zeros_at_origin} nonzero roots")
+        if len(set(seeds)) < len(seeds) or not all(map(cmath.isfinite, seeds)):
+            raise InvalidInputError("seeds must be finite and distinct")
     if zeros_at_origin == degree:
         z, residuals, forwards, prec, trace = [], [], [], precision_bits, []
     else:
@@ -755,9 +979,10 @@ class RootCountingMeasure:
     cluster radius 2^(-precision_bits/8) (a diagnostic -- the atoms keep
     unit weight).  A forward bound of infinity means the bound is unknown.
     ``trace`` holds the solver's records when the measure comes from
-    ``find_roots``: one per precision rung (working bits, sweeps, roots left
-    active), one per certification (certificate outcomes and their worst
-    log2 margins) and one per precision doubling.  It is empty for a measure read from a file and
+    ``find_roots``: one per Aberth phase (working bits, sweeps, roots left
+    active; the first, ``seed``, names its rule), one per certification
+    (certificate outcomes and their worst log2 margins) and one per
+    precision doubling.  It is empty for a measure read from a file and
     takes no part in equality.
     """
 
@@ -856,11 +1081,17 @@ def _find_clusters(roots, precision_bits):
 def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION) -> RootCountingMeasure:
     """All zeros of ``p`` with multiplicity, as a root-counting measure.
 
-    Rung 0 of the solve starts on the limit loop (``_loop_seeds``) for a
-    two-slope degenerate schedule and on the Newton-polygon circles
-    otherwise; the trace's ``seed`` record names the rule that ran.
-    Deterministic for fixed inputs.  Raises NonConvergenceError (with the
-    iteration trace) if certification fails even at MAX_PRECISION bits.
+    For a two-slope degenerate schedule the zeros are first solved in
+    complex128 from the differential equation, starting on the limit loop
+    (``_loop_seeds``, ``_float_zeros``), and one certified Aberth phase
+    polishes them (``solve_all_roots`` with seeds).  Every other schedule,
+    and a two-slope one whose float stage fails, takes the Newton-polygon
+    ladder.  The trace's ``seed`` record names the rule that ran:
+    ``electrostatic``, with ``kappa_bits``, the Newton ``iterations`` and
+    the float stage's relative ``residual``, or ``polygon``.  Deterministic
+    for fixed inputs, whatever the BLAS thread count.  Raises
+    NonConvergenceError (with the iteration trace) if certification fails
+    even at MAX_PRECISION bits.
     """
     if precision_bits < 64:
         raise InvalidInputError("precision_bits must be at least 64")
@@ -868,8 +1099,11 @@ def find_roots(p: HypPolynomial, precision_bits: int = DEFAULT_PRECISION) -> Roo
         raise InvalidInputError("cannot root-find the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("constant polynomial has no roots")
-    roots, residuals, forwards, prec, trace = solve_all_roots(p.coeffs, precision_bits,
-                                                             _loop_seeds(p))
+    stage = _float_zeros(p)
+    roots, residuals, forwards, prec, trace = solve_all_roots(
+        p.coeffs, precision_bits, None if stage is None else stage[0])
+    if stage is not None:
+        trace[0] = dict(trace[0], rule="electrostatic", iterations=stage[1], residual=stage[2])
     return RootCountingMeasure.from_roots(roots, prec, residuals, forwards, p.n, trace)
 
 

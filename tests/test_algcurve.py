@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperzeros import algcurve
 from hyperzeros.algcurve import (
     _sylvester_determinant,
     branch_points,
@@ -209,6 +210,17 @@ class TestBranchesAt:
     def test_rejects_zero(self):
         with pytest.raises(InvalidInputError):
             branches_at(curve_k(1), mp.mpc(0), 128)
+
+    @pytest.mark.parametrize("z", [mp.mpc(0.7, 0.4), mp.mpc(-1.5, 1), mp.mpc(2)])
+    def test_float_seeds_keep_ladder_values(self, z):
+        # one phase from the companion eigenvalues returns the bits of the
+        # Newton-polygon ladder, which runs where the eigenvalues are unusable
+        curve = build_curve(ND4)
+        seeded = branches_at(curve, z, 128)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algcurve, "_float_u_roots", lambda curve, z: None)
+            ladder = branches_at(curve, z, 128)
+        assert seeded == ladder
 
     def test_single_branch_certified_at_prec(self):
         # A = 1, B = 0: the one branch w = 1/(z - 1) is solved and rounded to

@@ -641,25 +641,54 @@ class TestConfigPrecedence:
 class TestImports:
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def test_poly_roots_curve_run_without_numpy(self, sched_file, tmp_path):
+    def _run(self, schedule, tmp_path, commands, **env):
+        """Run CLI ``commands`` on ``schedule`` in a fresh interpreter; returns
+        the numpy modules it loaded."""
+        spath = tmp_path / "schedule.json"
+        serialize.write_schedule(spath, schedule)
         script = f"""
 import sys
-from hyperzeros import serialize
 from hyperzeros.cli import main
-args = ["--schedule", {str(sched_file)!r}, "--out", {str(tmp_path / "out")!r}]
-assert main(["poly", "--n", "6"] + args) == 0
-assert main(["roots", "--n-list", "6", "--precision", "128"] + args) == 0
-assert main(["curve"] + args) == 0
+args = ["--schedule", {str(spath)!r}, "--out", {str(tmp_path / "out")!r}]
+for command in {commands!r}:
+    assert main(command + args) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             [str(self.SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return proc.stdout.splitlines()[-1]
+
+    def test_poly_roots_curve_run_without_numpy(self, tmp_path):
+        # FIG5 has no loop seeds, so its roots take the Newton-polygon
+        # ladder, which needs no numpy
+        loaded = self._run(FIG5, tmp_path, [["poly", "--n", "6"],
+                                            ["roots", "--n-list", "6", "--precision", "128"],
+                                            ["curve"]])
+        assert loaded == "[]"
         assert (tmp_path / "out" / "roots_n6.txt").exists()
         assert (tmp_path / "out" / "branch_points.txt").exists()
+
+    def test_two_slope_roots_load_numpy(self, tmp_path):
+        # K1's float stage solves its Newton steps in numpy
+        loaded = self._run(K1, tmp_path, [["roots", "--n-list", "6", "--precision", "128"]])
+        assert "'numpy'" in loaded
+
+    def test_roots_files_independent_of_blas_threads(self, tmp_path):
+        # the float stage's elimination calls no BLAS routine, so the
+        # polished roots keep their bits at any thread count; at n = 100
+        # numpy.linalg.solve in its place gives other float zeros at 1 and
+        # 2 threads, and roots files that differ
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            self._run(K1, out, [["roots", "--n-list", "40,100", "--precision", "512"]],
+                      OPENBLAS_NUM_THREADS=threads)
+            files.append([(out / "out" / f"roots_n{n}.txt").read_bytes() for n in (40, 100)])
+        assert files[0] == files[1]
 
     # the package's public names by defining module
     PUBLIC = {

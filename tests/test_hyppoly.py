@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from math import comb, factorial
+
+from hyperzeros.algcurve import build_curve
 from hyperzeros.errors import DenominatorParameterError, InvalidInputError
-from hyperzeros.exact import ComplexRational
+from hyperzeros.exact import ComplexRational, poly_add, poly_is_zero, poly_mul
 from hyperzeros.hyppoly import (
     HypPolynomial,
     ParameterSchedule,
@@ -12,6 +15,7 @@ from hyperzeros.hyppoly import (
     apply_hypergeometric_operator,
     build_polynomial,
     characteristic_roots,
+    differential_operator,
     is_general_type,
     pochhammer,
     series_coefficient,
@@ -211,3 +215,59 @@ class TestScheduleValidation:
     def test_degenerate_flag(self):
         assert ParameterSchedule.loop_2f1(CR(2, 1)).is_degenerate
         assert not ParameterSchedule((-1, 2), (0, 1), (3,), (1,)).is_degenerate
+
+
+# the schedules whose curves the experiments trace: two-slope, the FIG5
+# diagonal and the non-degenerate ND3 and ND4
+ODE_SCHEDULES = {
+    "K1": ParameterSchedule.loop_2f1(1),
+    "a=2+i": ParameterSchedule.loop_2f1(CR(2, 1)),
+    "FIG5": ParameterSchedule.diagonal((CR(0, 1), CR(1, 2))),
+    "ND3": ParameterSchedule((-1, CR(F(1, 2), 1), 2), (0, 1, 0), (1, CR(F(3, 2), -1)), (0, 1)),
+    "ND4": ParameterSchedule((-1, CR(F(1, 2), 1), 2, CR(F(3, 4), F(-1, 2))), (0, 1, 0, 0),
+                             (1, CR(F(3, 2), -1), 3), (0, 1, 2)),
+}
+
+
+class TestDifferentialOperator:
+    """The operator sum_m P_m(z) D^m in the d/dz basis, tied to p_n and to
+    the limit curve."""
+
+    @pytest.mark.parametrize("name", list(ODE_SCHEDULES))
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_annihilates_member(self, name, n):
+        sched = ODE_SCHEDULES[name]
+        p = build_polynomial(sched, n)
+        ops = differential_operator(sched, n)
+        assert len(ops) == sched.A + 1
+        total, derivative = [], list(p.coeffs)
+        for poly in ops:
+            total = poly_add(total, poly_mul(list(poly), derivative))
+            derivative = apply_delta(derivative)[1:]
+        assert poly_is_zero(total)
+
+    def test_gauss_equation(self):
+        # A = 2: z (z - 1) D^2 + ((1 + a_1 + a_2) z - b_1) D + a_1 a_2;
+        # K1 at n = 5 has a = (-5, 6) and b_1 = 7
+        p0, p1, p2 = differential_operator(ODE_SCHEDULES["K1"], 5)
+        assert (p0, p1, p2) == ((CR(-30),), (CR(-7), CR(2)), (CR(0), CR(-1), CR(1)))
+
+    @pytest.mark.parametrize("name", list(ODE_SCHEDULES))
+    def test_principal_symbol_is_the_curve(self, name):
+        # P_m is a polynomial of degree <= A - m in n; D -> n w keeps the
+        # coefficient of n^A, the (A - m)-th finite difference over
+        # n = 0..A - m divided by (A - m)!, and that symbol is A(z, w)
+        sched = ODE_SCHEDULES[name]
+        A = sched.A
+        at_n = [differential_operator(sched, n) for n in range(A + 1)]
+        symbol = {}
+        for m in range(A + 1):
+            k = A - m
+            lead = []
+            for j in range(k + 1):
+                term = [c * ((-1) ** (k - j) * comb(k, j)) for c in at_n[j][m]]
+                lead = poly_add(lead, term)
+            for power, c in enumerate(lead):
+                if c:
+                    symbol[(power, m)] = c / factorial(k)
+        assert symbol == build_curve(sched).terms

@@ -24,6 +24,7 @@ from hyperzeros.rootfinding import (
     _coeff_spread_bits,
     _cluster_radius,
     _find_clusters,
+    _float_zeros,
     _loop_seeds,
     cauchy_transform_at,
     find_roots,
@@ -274,16 +275,15 @@ class TestKernel:
                 assert abs(z - w) < mp.mpf(2) ** -100 * abs(w)
 
     @pytest.mark.parametrize("n, expected", [
-        (20, [("seed", 96, 5), ("rung", 192, 3), ("rung", 384, 2), ("rung", 594, 2),
-              ("certify", 594, None)]),
-        (40, [("seed", 102, 5), ("rung", 204, 11), ("rung", 408, 3), ("rung", 614, 2),
-              ("certify", 614, None)]),
+        (20, [("seed", 594, 4), ("certify", 594, None)]),
+        (40, [("seed", 614, 4), ("certify", 614, None)]),
     ])
     def test_find_roots_keeps_schedule(self, n, expected):
-        # K1 seeds on its limit loop
+        # K1 polishes its float zeros in one phase at the target width
+        # prec + spread + 64, above prec/2 + kappa + 64 at these n
         m = find_roots(build_polynomial(SCHED, n), 512)
         assert _trace_summary(m.trace) == expected
-        assert m.trace[0]["rule"] == "loop"
+        assert m.trace[0]["rule"] == "electrostatic"
         assert all(t["active_left"] == 0 for t in m.trace if "sweeps" in t)
 
     @pytest.mark.parametrize("n, expected", [
@@ -299,36 +299,38 @@ class TestKernel:
         assert trace[0]["rule"] == "polygon"
 
     def test_find_roots_counts_sum_paths(self):
-        # K1 n = 40: the float pass serves every update of the lower rungs;
-        # the integer loop serves the 408-bit rung's last sweeps, where the
-        # float error would show above the noise floor
-        m = find_roots(build_polynomial(SCHED, 40), 512)
-        assert [(t["float_sums"], t["integer_sums"]) for t in m.trace if "sweeps" in t] == [
-            (57, 0), (300, 0), (67, 40), (80, 0)]
+        # K1 n = 40 on the polygon ladder: the float pass serves every update
+        # of the lower rungs; the integer loop serves the 408-bit rung's last
+        # sweeps, where the float error would show above the noise floor
+        _, _, _, _, trace = solve_all_roots(build_polynomial(SCHED, 40).coeffs, 512)
+        assert [(t["float_sums"], t["integer_sums"]) for t in trace if "sweeps" in t] == [
+            (956, 0), (443, 0), (71, 40), (80, 0)]
 
     def test_doubling_refines_from_refined_iterates(self):
-        # alpha = 2 + i, n = 40 misses the forward bound at 128 bits; after
-        # the doubling the ladder continues from the target rung's iterates,
-        # so the seed phase runs once
-        m = find_roots(build_polynomial(ParameterSchedule.loop_2f1(CR(2, 1)), 40), 128)
-        assert _trace_summary(m.trace) == [
-            ("seed", 102, 1), ("rung", 230, 10), ("certify", 230, None),
+        # alpha = 2 + i, n = 40 on the polygon ladder misses the forward
+        # bound at 128 bits; after the doubling the ladder continues from the
+        # target rung's iterates, so the seed phase runs once
+        coeffs = build_polynomial(ParameterSchedule.loop_2f1(CR(2, 1)), 40).coeffs
+        _, _, _, used, trace = solve_all_roots(coeffs, 128)
+        assert _trace_summary(trace) == [
+            ("seed", 102, 25), ("rung", 230, 25), ("certify", 230, None),
             ("double-precision", None, None), ("rung", 358, 2), ("certify", 358, None),
         ]
-        assert m.precision_bits == 256
+        assert used == 256
 
     @pytest.mark.parametrize("sched, n, prec", [
         (SCHED, 40, 512),
         (FIG5, 10, 2048),
     ], ids=["K1-n40", "FIG5-n10"])
     def test_ladder_reaches_target_from_below(self, sched, n, prec):
-        # each rung at most triples the working bits, the last rung is the
-        # target, and the global convergence happens below it
+        # on the polygon ladder each rung at most triples the working bits,
+        # the last rung is the target, and the global convergence happens
+        # below it
         p = build_polynomial(sched, n)
-        m = find_roots(p, prec)
+        roots, residuals, forwards, _, trace = solve_all_roots(p.coeffs, prec)
         with mp.workprec(64):
             spread = _coeff_spread_bits([to_big_complex(c, 64) for c in p.coeffs])
-        bits = [t["working_bits"] for t in m.trace if "sweeps" in t]
+        bits = [t["working_bits"] for t in trace if "sweeps" in t]
         assert all(a < b <= 3 * a for a, b in zip(bits, bits[1:]))
         assert bits[-1] == prec + spread + 64
         # the margins are the worst floor(log2(bound / threshold)); frexp
@@ -336,14 +338,14 @@ class TestKernel:
         with mp.workprec(bits[-1]):
             res_thr = mp.mpf(2) ** (-prec // 4)
             fwd_thr = mp.mpf(2) ** (-prec // 2)
-            res_margin = max(mp.frexp(r / res_thr)[1] - 1 for r in m.residual_bounds)
+            res_margin = max(mp.frexp(r / res_thr)[1] - 1 for r in residuals)
             fwd_margin = max(mp.frexp(f / (fwd_thr * (1 + abs(z))))[1] - 1
-                             for f, z in zip(m.forward_error_bounds, m.roots))
+                             for f, z in zip(forwards, roots))
         assert res_margin < 0 and fwd_margin < 0
-        assert m.trace[-1] == {"phase": "certify", "working_bits": bits[-1],
-                               "residuals_ok": True, "forward_ok": True,
-                               "residual_margin": res_margin, "forward_margin": fwd_margin}
-        assert m.trace[-2]["sweeps"] <= 2
+        assert trace[-1] == {"phase": "certify", "working_bits": bits[-1],
+                             "residuals_ok": True, "forward_ok": True,
+                             "residual_margin": res_margin, "forward_margin": fwd_margin}
+        assert trace[-2]["sweeps"] <= 2
 
     @pytest.mark.parametrize("sched, n, prec, digest", [
         (SCHED, 20, 512, "68450424d8d5265d9b6f67858bdcade1c1bcea491ca77062779582ab0fdc1e45"),
@@ -594,9 +596,9 @@ class TestSumBudget:
         assert float_sums > 0 and integer_sums > 0
 
     def test_integer_sums_take_coarse_grid(self):
-        # K1 n = 40: every integer sum of the 408-bit rung runs on a grid
-        # coarser than 2^-b, and moves the step by less than 2^-16 of the
-        # stop test's floor against the full-grid sum
+        # K1 n = 40 on the polygon ladder: every integer sum of the 408-bit
+        # rung runs on a grid coarser than 2^-b, and moves the step by less
+        # than 2^-16 of the stop test's floor against the full-grid sum
         grids = []
         pair_sum = rootfinding._pair_sum
         aberth_sum = rootfinding._aberth_sum
@@ -621,14 +623,16 @@ class TestSumBudget:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rootfinding, "_pair_sum", logged_pair_sum)
             patch.setattr(rootfinding, "_aberth_sum", checked_aberth_sum)
-            m = find_roots(build_polynomial(SCHED, 40), 512)
-        assert _sum_counts(m.trace) == (504, 40)
+            _, _, _, _, trace = solve_all_roots(build_polynomial(SCHED, 40).coeffs, 512)
+        assert _sum_counts(trace) == (1550, 40)
 
     @pytest.mark.parametrize("sched, n, prec", [(SCHED, 40, 512), (FIG5, 10, 2048)],
                              ids=["K1-n40", "FIG5-n10"])
     def test_ladder_solves_match_exact_sum(self, sched, n, prec):
+        # K1 from its float zeros, as find_roots solves it; FIG5 on the ladder
         p = build_polynomial(sched, n)
-        trace = _assert_matches_reference(p.coeffs, prec, _loop_seeds(p))
+        stage = _float_zeros(p)
+        trace = _assert_matches_reference(p.coeffs, prec, None if stage is None else stage[0])
         assert _sum_counts(trace)[0] > 0
 
     @pytest.mark.parametrize("coeffs", [
@@ -722,6 +726,66 @@ class TestCertificates:
         assert all(r < mp.mpf(2) ** -180 for r in residuals)
         _assert_bounds_hold(coeffs, points, residuals, forwards)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=10)
+        .filter(lambda c: c[-1] != (0, 0) and c[0] != (0, 0)),
+        st.integers(-60, 60),
+        st.integers(4, 120),
+    )
+    def test_derivative_floor_below_derivative(self, gauss, s, k):
+        # at the roots and at the roots moved by a relative 2^-k, every lower
+        # bound on |p'| lies below |p'| evaluated at four times the precision
+        coeffs = [CR(a, b) * _pow2(s) for a, b in gauss]
+        roots, _, _, _, trace = solve_all_roots(coeffs, 128)
+        wp = trace[-1]["working_bits"]
+        floors = []
+        derivative_floor = rootfinding._derivative_floor
+
+        def logged_floor(c, grids, zk, est, err, b_max, scale_bits):
+            dv, shift = derivative_floor(c, grids, zk, est, err, b_max, scale_bits)
+            floors.append((zk, dv, shift))
+            return dv, shift
+
+        with mp.workprec(wp):
+            cw = [to_big_complex(c, wp) for c in coeffs]
+            moved = [z * (1 + mp.mpf(2) ** -k * mp.mpc(1, 1)) for z in roots]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rootfinding, "_derivative_floor", logged_floor)
+                for points in (roots, moved):
+                    _certificates(cw, points)
+        assert len(floors) == 2 * len(roots)
+        with mp.workprec(4 * wp):
+            dcoeffs = [j * c for j, c in enumerate(cw)][:0:-1]
+            for zk, dv, shift in floors:
+                assert mp.ldexp(dv, -shift) <= abs(mp.polyval(dcoeffs, zk))
+
+    def test_derivative_grid_refines_a_wrong_estimate(self):
+        # z^2 - 1 at 2^-100 and 3: the gap product estimates |p'| = 2 |z| as
+        # about 3 at both points, so the grid for p' at 2^-100, too coarse
+        # by about 100 bits, is refined until p' holds 106 bits
+        grids = []
+        fixed_value = rootfinding._fixed_value
+
+        def logged_value(coeffs, xr, xi, b):
+            grids.append(b)
+            return fixed_value(coeffs, xr, xi, b)
+
+        with mp.workprec(512):
+            coeffs = [to_big_complex(c, 512) for c in (CR(-1), CR(0), CR(1))]
+            points = [mp.mpc(mp.mpf(2) ** -100, 0), mp.mpc(3, 0)]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rootfinding, "_fixed_value", logged_value)
+                _, forwards = _certificates(coeffs, points)
+        # at 2^-100 p on the 517-bit grid, then p' on a coarse grid and a
+        # finer one; at 3 p, then p' on a coarse grid
+        assert len(grids) == 5 and grids[1] < grids[2] < grids[0] == grids[3] == 517
+        assert grids[4] < 517
+        with mp.workprec(1024):
+            for z, f in zip(points, forwards):
+                exact = abs(z ** 2 - 1) / abs(2 * z)
+                assert exact <= f <= exact * (1 + mp.mpf(2) ** -50)
+
     def test_far_cluster(self):
         # roots 2^40 + k, k = 1..8
         coeffs = poly_from_roots([_pow2(40) + CR(k) for k in range(1, 9)])
@@ -769,8 +833,9 @@ class TestLoopSeeds:
 
     @pytest.mark.parametrize("sched", [SCHED, ALPHA_HALF, ALPHA_TWO], ids=["K1", "a=1/2-i", "a=2+i"])
     def test_find_roots_records_loop_rule(self, sched):
+        # the loop seeds start the float stage, whose zeros seed the one phase
         m = find_roots(build_polynomial(sched, 10), 128)
-        assert m.trace[0]["phase"] == "seed" and m.trace[0]["rule"] == "loop"
+        assert m.trace[0]["phase"] == "seed" and m.trace[0]["rule"] == "electrostatic"
 
     def _fallback(self, sched, n):
         with warnings.catch_warnings():
@@ -821,10 +886,93 @@ class TestLoopSeeds:
         alpha = complex(sched.alphas[1])
         level = _log_g(alpha, alpha / (1 + alpha)).real
         assert all(abs(_log_g(alpha, z).real - level) < 1e-12 for z in seeds)
+        # the float stage converges, and its zeros certify in one phase
         m = find_roots(p, 128)
-        assert m.trace[0]["rule"] == "loop"
+        assert m.trace[0]["rule"] == "electrostatic" and m.trace[0]["iterations"] < 12
+        assert [t["phase"] for t in m.trace] == ["seed", "certify"]
         roots, _, forwards, _, _ = solve_all_roots(p.coeffs, 128)
         _nearest_match(m, roots, forwards)
+
+
+def _condition_of(coeffs, roots, prec):
+    """max_k log2(sum |c_j| |z_k|^j / |p'(z_k)|) at the roots, in mpmath."""
+    with mp.workprec(prec):
+        cs = [to_big_complex(c, prec) for c in coeffs]
+        worst = -mp.inf
+        for z in roots:
+            pt = sum(abs(c) * abs(z) ** j for j, c in enumerate(cs))
+            dp = mp.polyval([j * c for j, c in enumerate(cs)][:0:-1], z)
+            worst = max(worst, mp.log(pt / abs(dp), 2))
+        return float(worst)
+
+
+class TestFloatZeros:
+    """Two-slope members: float zeros from the differential equation, then
+    one certified Aberth phase sized from their condition."""
+
+    @pytest.mark.parametrize("sched", [SCHED, ALPHA_HALF, ALPHA_TWO], ids=["K1", "a=1/2-i", "a=2+i"])
+    def test_trace_record(self, sched):
+        p = build_polynomial(sched, 30)
+        m = find_roots(p, 256)
+        seed, certify = m.trace
+        assert seed["phase"] == "seed" and seed["rule"] == "electrostatic"
+        assert 1 <= seed["iterations"] < 12 and 0 <= seed["residual"] <= 1e-10
+        assert seed["active_left"] == 0
+        with mp.workprec(64):
+            spread = _coeff_spread_bits([to_big_complex(c, 64) for c in p.coeffs])
+        assert seed["working_bits"] == max(256 + spread + 64, 128 + seed["kappa_bits"] + 64)
+        assert certify["residuals_ok"] and certify["forward_ok"]
+        # kappa read off the float zeros is the certified roots' condition
+        assert abs(seed["kappa_bits"] - _condition_of(p.coeffs, m.roots, 256)) <= 1
+        assert m.precision_bits == 256
+
+    @pytest.mark.parametrize("sched", [SCHED, ALPHA_HALF, ALPHA_TWO], ids=["K1", "a=1/2-i", "a=2+i"])
+    def test_float_zeros_are_the_roots(self, sched):
+        p = build_polynomial(sched, 40)
+        zeros, iterations, residual = _float_zeros(p)
+        m = find_roots(p, 128)
+        for z in zeros:
+            assert min(abs(z - complex(r)) for r in m.roots) <= 1e-13 * abs(z)
+
+    def test_alpha_two_certifies_without_doubling(self):
+        # the ladder doubles to 256 bits here (test_doubling_refines_from_refined_iterates)
+        p = build_polynomial(ALPHA_TWO, 40)
+        m = find_roots(p, 128)
+        assert m.precision_bits == 128
+        assert [t["phase"] for t in m.trace] == ["seed", "certify"]
+        assert m.trace[0]["rule"] == "electrostatic"
+        roots, _, forwards, used, _ = solve_all_roots(p.coeffs, 128)
+        assert used == 256
+        _nearest_match(m, roots, forwards)
+
+    @pytest.mark.parametrize("step", [
+        lambda a, b: b * math.nan,  # a non-finite iterate
+        lambda a, b: b / 2,  # half steps: no convergence in 12 iterations
+    ], ids=["non-finite", "slow"])
+    def test_failed_stage_falls_back(self, step):
+        p = build_polynomial(SCHED, 20)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rootfinding, "_lu_solve", step)
+            assert _float_zeros(p) is None
+            m = find_roots(p, 256)
+        assert m.trace[0]["rule"] == "polygon"
+        roots, residuals, forwards, prec, _ = solve_all_roots(p.coeffs, 256)
+        assert (m.roots, m.residual_bounds, m.precision_bits) == (tuple(roots), tuple(residuals), prec)
+
+    def test_lu_solve_matches_linalg(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        b = rng.normal(size=30) + 1j * rng.normal(size=30)
+        x = rootfinding._lu_solve(a.copy(), b.copy())
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-12)
+        # a row exchange is needed at the first step
+        a = np.array([[0, 1], [2, 3]], dtype=complex)
+        assert list(rootfinding._lu_solve(a, np.array([1, 5], dtype=complex))) == [1, 1]
+
+    @pytest.mark.parametrize("seeds", [[1.5, 1.5], [1.5, complex(math.inf, 0)], [1.5, math.nan]])
+    def test_seeds_must_be_finite_and_distinct(self, seeds):
+        with pytest.raises(InvalidInputError):
+            solve_all_roots([CR(-2), CR(0), CR(1)], 128, seeds=seeds)
 
 
 class TestClusters:
